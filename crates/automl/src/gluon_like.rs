@@ -16,10 +16,9 @@
 use crate::budget::{fit_cost, Budget, ModelFamily};
 use crate::ensemble::{greedy_selection, weighted_average, BaggedModel, GlmMetalearner};
 use crate::fault::FaultPlan;
-use crate::journal::{ResumePolicy, SearchRun};
-use crate::leaderboard::{FitReport, Leaderboard};
-use crate::telemetry::TrialTracker;
-use crate::trial::guard_trial_timed;
+use crate::journal::driver::{data_shape, SearchDriver};
+use crate::journal::ResumePolicy;
+use crate::leaderboard::FitReport;
 use crate::AutoMlSystem;
 use linalg::{Matrix, Rng};
 use ml::boosting::{BoostConfig, GradientBoosting, ObliviousBoosting};
@@ -120,11 +119,8 @@ impl AutoMlSystem for AutoGluonStyle {
         policy: &ResumePolicy,
         deadline: Deadline,
     ) -> Result<FitReport, TrialError> {
-        let span = obs::span("automl.AutoGluon.fit");
-        let mut tracker = TrialTracker::new(self.name());
         let mut rng = Rng::new(self.seed ^ 0x61u64);
         let valid_labels = valid.labels_bool();
-        let mut leaderboard = Leaderboard::new();
         self.bags = Vec::new();
         self.meta = None;
         self.fallback = None;
@@ -134,101 +130,61 @@ impl AutoMlSystem for AutoGluonStyle {
             .iter()
             .map(|(family, template)| format!("{family:?}:{}", template.name()))
             .collect();
-        let positives = train.y.iter().filter(|&&v| v >= 0.5).count();
-        let mut run = SearchRun::start(
+        let mut driver = SearchDriver::start(
             self.name(),
             self.seed,
+            self.faults.clone(),
             budget,
             &[
                 &format!("k_folds={K_FOLDS}"),
                 &format!("roster={}", roster_desc.join(",")),
-                &format!(
-                    "rows={} cols={} pos={positives} valid={}",
-                    train.len(),
-                    train.x.cols(),
-                    valid.len()
-                ),
+                &data_shape(train, valid),
             ],
             policy,
             deadline,
         )?;
-        let mut deadline_cut = false;
 
         // --- layer 1: bagged base models -------------------------------
         for (family, template) in members {
-            if run.deadline_expired() {
-                run.note_deadline();
-                deadline_cut = true;
+            if driver.deadline_stop() {
                 break; // keep what is already trained: best-so-far
             }
             // k fold-fits, each on (k-1)/k of the data
             let cost = K_FOLDS as f64 * fit_cost(family, train.len() * (K_FOLDS - 1) / K_FOLDS);
-            if !budget.can_afford(cost) {
+            if !driver.budget().can_afford(cost) {
                 continue; // tight budgets silently drop roster tails
             }
-            // attempted roster members are trials: a failing bag — panic,
-            // NaN score, injected fault — is quarantined and the roster
-            // continues (budget-skipped members above are not trials and
-            // get no leaderboard entry)
-            let trial_idx = tracker.trials() as u64;
-            let name = format!("bag[{}]", template.name());
-            run.note_planned(trial_idx, &name, cost);
-            run.sync();
-            // Each trial gets its own forked rng stream, advanced on the
-            // driving thread whether or not the trial body runs — so a
-            // failure replayed from the journal (which skips the body)
-            // leaves every later trial's randomness untouched.
-            let mut bag_rng = rng.fork(trial_idx);
-            let token = run.token();
-            let (outcome, wall_ms) = match run.replayed_failure(trial_idx) {
-                Some(err) => (Err(err), 0.0),
-                None => guard_trial_timed(self.name(), self.faults.get(trial_idx), &token, || {
-                    let bag = BaggedModel::fit(template.as_ref(), train, K_FOLDS, &mut bag_rng)?;
-                    let val_probs = bag.predict_proba(&valid.x);
-                    let (_, f1) = best_f1_threshold(&val_probs, &valid_labels);
-                    Ok((bag, val_probs, f1))
-                }),
-            };
-            let charged = run.charge(trial_idx, cost * self.faults.cost_multiplier(trial_idx));
-            budget.consume(charged);
-            match outcome {
-                Ok((bag, _, f1)) => {
-                    run.record_done(trial_idx, &name, f1, charged)?;
-                    tracker.record(family, &name, f1, charged, wall_ms);
-                    leaderboard.push(name, f1, charged);
-                    self.bags.push(bag);
-                }
-                Err(err) => {
-                    run.record_failed(trial_idx, &name, &err, charged)?;
-                    tracker.record_failure(family, &name, &err, charged, wall_ms);
-                    leaderboard.push_failed(name, err, charged);
-                }
-            }
+            // attempted roster members are trials: a failing bag is
+            // quarantined and the roster continues (budget-skipped
+            // members above are not trials and get no leaderboard entry).
+            // Each gets its own rng stream, forked on the driving thread
+            // whether or not the trial body runs — so a failure replayed
+            // from the journal (which skips the body) leaves every later
+            // trial's randomness untouched.
+            let bag_rng = rng.fork(driver.trials());
+            let label = format!("bag[{}]", template.name());
+            let fits = driver.batch(vec![(label, family, cost)], |_| {
+                let bag =
+                    BaggedModel::fit(template.as_ref(), train, K_FOLDS, &mut bag_rng.clone())?;
+                let val_probs = bag.predict_proba(&valid.x);
+                let (_, f1) = best_f1_threshold(&val_probs, &valid_labels);
+                Ok((bag, val_probs, f1))
+            })?;
+            self.bags
+                .extend(fits.into_iter().flatten().map(|(bag, _, _)| bag));
         }
 
         if self.bags.is_empty() {
-            if !leaderboard.is_empty() {
+            if driver.trials() > 0 {
                 // trials were attempted and every one failed — that is a
                 // run-level error, not the budget-starvation fallback
-                span.add_units(budget.used());
-                return Err(TrialError::AllTrialsFailed {
-                    attempted: leaderboard.len(),
-                });
+                return Err(driver.fail(train.len()));
             }
             // nothing affordable: majority-class predictor (this is the
             // degenerate outcome the paper observed on starved runs)
-            let prior = train.positive_ratio() as f32;
-            self.fallback = Some(prior);
+            self.fallback = Some(train.positive_ratio() as f32);
             self.threshold = 0.5;
-            span.add_units(budget.used());
-            return Ok(FitReport {
-                system: self.name(),
-                units_used: budget.used(),
-                hours_used: budget.used_hours(),
-                val_f1: 0.0,
-                threshold: 0.5,
-                leaderboard,
-            });
+            return Ok(driver.finish(0.0, 0.5));
         }
 
         // --- layer 2: GLM stacker on out-of-fold probabilities ----------
@@ -239,71 +195,35 @@ impl AutoMlSystem for AutoGluonStyle {
             .iter()
             .map(|b| b.predict_proba(&valid.x))
             .collect();
-        let mut best: (f64, f32); // (val F1, threshold)
 
         // greedy weighted ensemble is always available
         let weights = greedy_selection(&bag_val_probs, &valid_labels, 15);
         let greedy_val = weighted_average(&bag_val_probs, &weights);
         let (gt, gf1) = best_f1_threshold(&greedy_val, &valid_labels);
         self.weights = weights;
-        best = (gf1, gt);
+        let mut best = (gf1, gt); // (val F1, threshold)
 
-        if !deadline_cut && budget.can_afford(stack_cost) {
+        if !driver.stopped_by_deadline() && driver.budget().can_afford(stack_cost) {
             // the stacker is a trial like any other: a degenerate GLM solve
             // (NaN coefficients on collinear folds) is quarantined and the
-            // greedy ensemble below keeps the run alive
-            let trial_idx = tracker.trials() as u64;
-            run.note_planned(trial_idx, "stacker[glm]", stack_cost);
-            run.sync();
-            let token = run.token();
-            let (outcome, wall_ms) = match run.replayed_failure(trial_idx) {
-                Some(err) => (Err(err), 0.0),
-                None => guard_trial_timed(self.name(), self.faults.get(trial_idx), &token, || {
-                    let meta = GlmMetalearner::fit(&oof, &train.y, 1e-2);
-                    let stacked_val = meta.predict(&bag_val_probs);
-                    let (st, sf1) = best_f1_threshold(&stacked_val, &valid_labels);
-                    Ok(((meta, st), stacked_val, sf1))
-                }),
-            };
-            let charged = run.charge(
-                trial_idx,
-                stack_cost * self.faults.cost_multiplier(trial_idx),
-            );
-            budget.consume(charged);
-            match outcome {
-                Ok(((meta, st), _, sf1)) => {
-                    run.record_done(trial_idx, "stacker[glm]", sf1, charged)?;
-                    tracker.record(ModelFamily::LogReg, "stacker[glm]", sf1, charged, wall_ms);
-                    leaderboard.push("stacker[glm]".to_owned(), sf1, charged);
-                    if sf1 > best.0 {
-                        best = (sf1, st);
-                        self.meta = Some(meta);
-                    }
-                }
-                Err(err) => {
-                    run.record_failed(trial_idx, "stacker[glm]", &err, charged)?;
-                    tracker.record_failure(
-                        ModelFamily::LogReg,
-                        "stacker[glm]",
-                        &err,
-                        charged,
-                        wall_ms,
-                    );
-                    leaderboard.push_failed("stacker[glm]".to_owned(), err, charged);
+            // greedy ensemble keeps the run alive
+            let plan = ("stacker[glm]".to_owned(), ModelFamily::LogReg, stack_cost);
+            let fits = driver.batch(vec![plan], |_| {
+                let meta = GlmMetalearner::fit(&oof, &train.y, 1e-2);
+                let stacked_val = meta.predict(&bag_val_probs);
+                let (st, sf1) = best_f1_threshold(&stacked_val, &valid_labels);
+                Ok(((meta, st), stacked_val, sf1))
+            })?;
+            if let Some(((meta, st), _, sf1)) = fits.into_iter().flatten().next() {
+                if sf1 > best.0 {
+                    best = (sf1, st);
+                    self.meta = Some(meta);
                 }
             }
         }
 
         self.threshold = best.1;
-        span.add_units(budget.used());
-        Ok(FitReport {
-            system: self.name(),
-            units_used: budget.used(),
-            hours_used: budget.used_hours(),
-            val_f1: best.0,
-            threshold: best.1,
-            leaderboard,
-        })
+        Ok(driver.finish(best.0, best.1))
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {

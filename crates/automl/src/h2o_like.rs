@@ -16,11 +16,10 @@
 use crate::budget::{fit_cost, Budget, ModelFamily};
 use crate::ensemble::{out_of_fold, GlmMetalearner};
 use crate::fault::FaultPlan;
-use crate::journal::{ResumePolicy, SearchRun};
-use crate::leaderboard::{FitReport, Leaderboard};
+use crate::journal::driver::{data_shape, SearchDriver};
+use crate::journal::ResumePolicy;
+use crate::leaderboard::FitReport;
 use crate::space::{h2o_families, Candidate};
-use crate::telemetry::TrialTracker;
-use crate::trial::{all_failed_error, guard_trial_timed};
 use crate::AutoMlSystem;
 use linalg::{Matrix, Rng};
 use ml::dataset::TabularData;
@@ -41,8 +40,6 @@ pub struct H2oStyle {
     faults: FaultPlan,
     members: Vec<Box<dyn Classifier>>,
     meta: Option<GlmMetalearner>,
-    /// Index of the best single model (used when stacking doesn't help).
-    best_single: usize,
     threshold: f32,
 }
 
@@ -60,7 +57,6 @@ impl H2oStyle {
             faults,
             members: Vec::new(),
             meta: None,
-            best_single: 0,
             threshold: 0.5,
         }
     }
@@ -79,31 +75,22 @@ impl AutoMlSystem for H2oStyle {
         policy: &ResumePolicy,
         deadline: Deadline,
     ) -> Result<FitReport, TrialError> {
-        let span = obs::span("automl.H2OAutoML.fit");
-        let mut tracker = TrialTracker::new(self.name());
         let mut rng = Rng::new(self.seed ^ 0x420);
         let families = h2o_families();
         let valid_labels = valid.labels_bool();
-        let mut leaderboard = Leaderboard::new();
-        let positives = train.y.iter().filter(|&&v| v >= 0.5).count();
-        let mut run = SearchRun::start(
+        let mut driver = SearchDriver::start(
             self.name(),
             self.seed,
+            self.faults.clone(),
             budget,
             &[
                 &format!("families={families:?}"),
                 &format!("max_models={MAX_MODELS} stack_top={STACK_TOP} k_folds={K_FOLDS}"),
-                &format!(
-                    "rows={} cols={} pos={positives} valid={}",
-                    train.len(),
-                    train.x.cols(),
-                    valid.len()
-                ),
+                &data_shape(train, valid),
             ],
             policy,
             deadline,
         )?;
-        let mut deadline_cut = false;
 
         // --- fast random search -----------------------------------------
         // reserve a slice of the budget for the stacking stage
@@ -113,8 +100,9 @@ impl AutoMlSystem for H2oStyle {
         // --- plan the whole random grid on the driving thread: identical
         //     rng stream and budget arithmetic to a sequential search ---
         let seed = self.seed;
-        let mut sim = budget.clone(); // replayed on `budget` below
-        let mut planned: Vec<(Candidate, f64, u64)> = Vec::new();
+        let mut sim = driver.budget().clone();
+        let mut planned: Vec<(Candidate, u64)> = Vec::new();
+        let mut plans = Vec::new();
         while planned.len() < MAX_MODELS {
             let candidate = Candidate::sample(&families, &mut rng);
             let cost = fit_cost(candidate.family, train.len());
@@ -124,61 +112,29 @@ impl AutoMlSystem for H2oStyle {
                 break;
             }
             sim.consume(cost);
-            let idx = planned.len() as u64;
-            planned.push((candidate, cost, idx));
+            let idx = driver.trials() + planned.len() as u64;
+            let label = candidate.build(seed.wrapping_add(idx)).name();
+            plans.push((label, candidate.family, cost));
+            planned.push((candidate, idx));
         }
-
-        // WAL intent records for the whole grid: one fsync
-        for (candidate, cost, idx) in &planned {
-            let name = candidate.build(seed.wrapping_add(*idx)).name();
-            run.note_planned(*idx, &name, *cost);
-        }
-        run.sync();
-
-        // --- independent fits: run the grid through the par pool, each
-        //     inside the trial boundary so a failing candidate — panic,
-        //     NaN score, injected fault — is quarantined without losing
-        //     the worker or the grid. Journaled failures are restored
-        //     without re-running ---
-        let faults = &self.faults;
-        let view = run.view();
-        let engine = self.name();
-        let fits = par::map(&planned, |(candidate, _, idx)| match view.failed(*idx) {
-            Some(err) => (Err(err), 0.0),
-            None => guard_trial_timed(engine, faults.get(*idx), view.token(), || {
-                let mut model = candidate.build(seed.wrapping_add(*idx));
-                model.fit(&train.x, &train.y)?;
-                let probs = model.predict_proba(&valid.x);
-                let (_, f1) = best_f1_threshold(&probs, &valid_labels);
-                Ok((model, probs, f1))
-            }),
-        });
-
-        // --- charge budget, journal outcomes and emit telemetry in
-        //     submission order (replayed trials use their recorded
-        //     charges) ---
-        let mut evaluated: Vec<Evaluated> = Vec::new();
-        for ((candidate, cost, idx), (fit, wall_ms)) in planned.into_iter().zip(fits) {
-            let charged = run.charge(idx, cost * self.faults.cost_multiplier(idx));
-            budget.consume(charged);
-            match fit {
-                Ok((model, probs, f1)) => {
-                    run.record_done(idx, &model.name(), f1, charged)?;
-                    tracker.record(candidate.family, &model.name(), f1, charged, wall_ms);
-                    leaderboard.push(model.name(), f1, charged);
-                    evaluated.push((candidate, model, probs, f1));
-                }
-                Err(err) => {
-                    let name = candidate.build(seed.wrapping_add(idx)).name();
-                    run.record_failed(idx, &name, &err, charged)?;
-                    tracker.record_failure(candidate.family, &name, &err, charged, wall_ms);
-                    leaderboard.push_failed(name, err, charged);
-                }
-            }
-        }
+        // the grid is fully independent: one batch
+        let fits = driver.batch(plans, |slot| {
+            let (candidate, idx) = &planned[slot];
+            let mut model = candidate.build(seed.wrapping_add(*idx));
+            model.fit(&train.x, &train.y)?;
+            let probs = model.predict_proba(&valid.x);
+            let (_, f1) = best_f1_threshold(&probs, &valid_labels);
+            Ok((model, probs, f1))
+        })?;
+        let mut evaluated: Vec<Evaluated> = planned
+            .into_iter()
+            .zip(fits)
+            .filter_map(|((candidate, _), fit)| {
+                fit.map(|(model, probs, f1)| (candidate, model, probs, f1))
+            })
+            .collect();
         if evaluated.is_empty() {
-            span.add_units(budget.used());
-            return Err(all_failed_error(&leaderboard, budget, train.len()));
+            return Err(driver.fail(train.len()));
         }
 
         // rank by validation F1, keep the stack members (scores are
@@ -195,15 +151,13 @@ impl AutoMlSystem for H2oStyle {
         let mut oof_members: Vec<usize> = Vec::new();
         let mut kept: Vec<Evaluated> = Vec::new();
         for (cand, model, vprobs, f1) in evaluated {
-            if run.deadline_expired() {
-                run.note_deadline();
-                deadline_cut = true;
+            if driver.deadline_stop() {
                 kept.push((cand, model, vprobs, f1));
                 continue; // keep the member ranked, skip its oof refits
             }
             let oof_cost =
                 K_FOLDS as f64 * fit_cost(cand.family, train.len() * (K_FOLDS - 1) / K_FOLDS) * 0.5; // folds are smaller and reuse binning work
-            if budget.can_afford(oof_cost) {
+            if driver.budget().can_afford(oof_cost) {
                 let mut fold_rng = rng.fork(oof_cols.len() as u64);
                 // the member already fitted once, but its fold refits run
                 // through the panic boundary too: a crashing fold drops
@@ -211,7 +165,7 @@ impl AutoMlSystem for H2oStyle {
                 let oof =
                     par::catch_panic(|| out_of_fold(model.as_ref(), train, K_FOLDS, &mut fold_rng));
                 if let Ok(Ok((oof, _))) = oof {
-                    budget.consume(oof_cost);
+                    driver.budget().consume(oof_cost);
                     oof_cols.push(oof);
                     oof_members.push(kept.len());
                 }
@@ -223,45 +177,24 @@ impl AutoMlSystem for H2oStyle {
         let (single_t, single_f1) = best_f1_threshold(&single_val, &valid_labels);
         let mut best = (single_f1, single_t, false);
 
-        if oof_cols.len() >= 2 && !deadline_cut {
+        if oof_cols.len() >= 2 && !driver.stopped_by_deadline() {
             let oof = Matrix::from_fn(train.len(), oof_cols.len(), |i, m| oof_cols[m][i]);
             let member_val: Vec<Vec<f32>> =
                 oof_members.iter().map(|&i| kept[i].2.clone()).collect();
-            // the super learner is a trial like any other: a degenerate
-            // GLM solve is quarantined and the best single model wins
-            let trial_idx = tracker.trials() as u64;
-            run.note_planned(trial_idx, "super_learner[glm]", 0.0);
-            run.sync();
-            let token = run.token();
-            let (outcome, wall_ms) = match run.replayed_failure(trial_idx) {
-                Some(err) => (Err(err), 0.0),
-                None => guard_trial_timed(self.name(), self.faults.get(trial_idx), &token, || {
-                    let meta = GlmMetalearner::fit(&oof, &train.y, 1e-2);
-                    let stacked_val = meta.predict(&member_val);
-                    let (st, sf1) = best_f1_threshold(&stacked_val, &valid_labels);
-                    Ok(((meta, st), stacked_val, sf1))
-                }),
-            };
-            match outcome {
-                Ok(((meta, st), _, sf1)) => {
-                    run.record_done(trial_idx, "super_learner[glm]", sf1, 0.0)?;
-                    tracker.record(ModelFamily::LogReg, "super_learner[glm]", sf1, 0.0, wall_ms);
-                    leaderboard.push("super_learner[glm]".to_owned(), sf1, 0.0);
-                    if sf1 >= best.0 {
-                        best = (sf1, st, true);
-                        self.meta = Some(meta);
-                    }
-                }
-                Err(err) => {
-                    run.record_failed(trial_idx, "super_learner[glm]", &err, 0.0)?;
-                    tracker.record_failure(
-                        ModelFamily::LogReg,
-                        "super_learner[glm]",
-                        &err,
-                        0.0,
-                        wall_ms,
-                    );
-                    leaderboard.push_failed("super_learner[glm]".to_owned(), err, 0.0);
+            // the super learner is a trial like any other (charged
+            // nothing): a degenerate GLM solve is quarantined and the best
+            // single model wins
+            let plan = ("super_learner[glm]".to_owned(), ModelFamily::LogReg, 0.0);
+            let fits = driver.batch(vec![plan], |_| {
+                let meta = GlmMetalearner::fit(&oof, &train.y, 1e-2);
+                let stacked_val = meta.predict(&member_val);
+                let (st, sf1) = best_f1_threshold(&stacked_val, &valid_labels);
+                Ok(((meta, st), stacked_val, sf1))
+            })?;
+            if let Some(((meta, st), _, sf1)) = fits.into_iter().flatten().next() {
+                if sf1 >= best.0 {
+                    best = (sf1, st, true);
+                    self.meta = Some(meta);
                 }
             }
         }
@@ -277,17 +210,8 @@ impl AutoMlSystem for H2oStyle {
         } else {
             self.members = kept.into_iter().map(|(_, m, _, _)| m).collect();
         }
-        self.best_single = 0;
         self.threshold = best.1;
-        span.add_units(budget.used());
-        Ok(FitReport {
-            system: self.name(),
-            units_used: budget.used(),
-            hours_used: budget.used_hours(),
-            val_f1: best.0,
-            threshold: best.1,
-            leaderboard,
-        })
+        Ok(driver.finish(best.0, best.1))
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
@@ -297,7 +221,8 @@ impl AutoMlSystem for H2oStyle {
                 let base: Vec<Vec<f32>> = self.members.iter().map(|m| m.predict_proba(x)).collect();
                 meta.predict(&base)
             }
-            None => self.members[self.best_single].predict_proba(x),
+            // no stacker: the members are ranked, best single model first
+            None => self.members[0].predict_proba(x),
         }
     }
 

@@ -7,8 +7,8 @@
 //! and used by the `ablations` bench to compare search strategies under
 //! the same budget accounting.
 //!
-//! Each rung's population sweep is embarrassingly parallel and runs
-//! through the `par` worker pool; the affordable prefix of the rung is
+//! Each rung's population sweep is embarrassingly parallel and runs as
+//! one batch of the search driver; the affordable prefix of the rung is
 //! planned on the driving thread with a simulated budget and charges are
 //! replayed in submission order afterwards, so the report is byte-for-byte
 //! the one a sequential sweep produces, at any thread count. Rungs are
@@ -17,11 +17,10 @@
 
 use crate::budget::{fit_cost, Budget};
 use crate::fault::FaultPlan;
-use crate::journal::{ResumePolicy, SearchRun};
-use crate::leaderboard::{FitReport, Leaderboard};
+use crate::journal::driver::{data_shape, SearchDriver};
+use crate::journal::ResumePolicy;
+use crate::leaderboard::FitReport;
 use crate::space::{sklearn_families, Candidate};
-use crate::telemetry::TrialTracker;
-use crate::trial::{all_failed_error, guard_trial_timed};
 use crate::AutoMlSystem;
 use linalg::{Matrix, Rng};
 use ml::cv::stratified_holdout;
@@ -30,60 +29,36 @@ use ml::metrics::best_f1_threshold;
 use ml::{Classifier, TrialError};
 use par::Deadline;
 
-/// Successive-halving configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct HalvingConfig {
-    /// Configurations sampled in the first rung.
-    pub initial_population: usize,
-    /// Fraction promoted between rungs (η⁻¹; 1/3 is the ASHA default).
-    pub keep_fraction: f64,
-    /// Training-subsample fraction of the first rung (doubles per rung,
-    /// capped at 1.0).
-    pub initial_subsample: f64,
-}
-
-impl Default for HalvingConfig {
-    fn default() -> Self {
-        Self {
-            initial_population: 18,
-            keep_fraction: 1.0 / 3.0,
-            initial_subsample: 0.25,
-        }
-    }
-}
+/// Configurations sampled in the first rung.
+const INITIAL_POPULATION: usize = 18;
+/// Fraction promoted between rungs (η⁻¹; 1/3 is the ASHA default).
+const KEEP_FRACTION: f64 = 1.0 / 3.0;
+/// Training-subsample fraction of the first rung (doubles per rung,
+/// capped at 1.0).
+const INITIAL_SUBSAMPLE: f64 = 0.25;
 
 /// The successive-halving engine.
 pub struct SuccessiveHalving {
     seed: u64,
-    config: HalvingConfig,
     faults: FaultPlan,
     best: Option<Box<dyn Classifier>>,
     threshold: f32,
 }
 
 impl SuccessiveHalving {
-    /// New engine with a deterministic seed and default rungs (faults come
-    /// from the `AUTOML_EM_FAULTS` environment variable, usually none).
+    /// New engine with a deterministic seed (faults come from the
+    /// `AUTOML_EM_FAULTS` environment variable, usually none).
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, HalvingConfig::default())
-    }
-
-    /// New engine with explicit halving parameters.
-    pub fn with_config(seed: u64, config: HalvingConfig) -> Self {
-        Self {
-            seed,
-            config,
-            faults: FaultPlan::from_env(),
-            best: None,
-            threshold: 0.5,
-        }
+        Self::with_faults(seed, FaultPlan::from_env())
     }
 
     /// New engine with an explicit fault-injection plan (tests).
     pub fn with_faults(seed: u64, faults: FaultPlan) -> Self {
         Self {
+            seed,
             faults,
-            ..Self::new(seed)
+            best: None,
+            threshold: 0.5,
         }
     }
 }
@@ -105,30 +80,20 @@ impl AutoMlSystem for SuccessiveHalving {
         policy: &ResumePolicy,
         deadline: Deadline,
     ) -> Result<FitReport, TrialError> {
-        let span = obs::span("automl.SuccessiveHalving.fit");
-        let mut tracker = TrialTracker::new(self.name());
         let mut rng = Rng::new(self.seed ^ 0x5A1);
         let families = sklearn_families();
         let valid_labels = valid.labels_bool();
-        let mut leaderboard = Leaderboard::new();
-        let positives = train.y.iter().filter(|&&v| v >= 0.5).count();
-        let mut run = SearchRun::start(
+        let mut driver = SearchDriver::start(
             self.name(),
             self.seed,
+            self.faults.clone(),
             budget,
             &[
                 &format!("families={families:?}"),
+                &data_shape(train, valid),
                 &format!(
-                    "rows={} cols={} pos={positives} valid={}",
-                    train.len(),
-                    train.x.cols(),
-                    valid.len()
-                ),
-                &format!(
-                    "pop={} keep={:?} subsample={:?}",
-                    self.config.initial_population,
-                    self.config.keep_fraction,
-                    self.config.initial_subsample
+                    "pop={INITIAL_POPULATION} keep={KEEP_FRACTION:?} \
+                     subsample={INITIAL_SUBSAMPLE:?}"
                 ),
             ],
             policy,
@@ -136,20 +101,16 @@ impl AutoMlSystem for SuccessiveHalving {
         )?;
 
         // rung 0 population
-        let mut population: Vec<(Candidate, f64)> = (0..self.config.initial_population)
+        let mut population: Vec<(Candidate, f64)> = (0..INITIAL_POPULATION)
             .map(|_| (Candidate::sample(&families, &mut rng), f64::MIN))
             .collect();
-        let mut subsample = self.config.initial_subsample;
+        let mut subsample = INITIAL_SUBSAMPLE;
         let mut survivors: Vec<Evaluated> = Vec::new();
-        let mut eval_idx = 0u64;
+        let seed = self.seed;
         let mut rung = 0usize;
-        loop {
-            // wall-clock ceiling: stop opening new rungs once the deadline
-            // has passed; the previous rung's survivors are the result
-            if run.deadline_expired() {
-                run.note_deadline();
-                break;
-            }
+        // stop opening new rungs once the deadline has passed; the
+        // previous rung's survivors are the result
+        while !driver.deadline_stop() {
             let rows = ((train.len() as f64 * subsample) as usize)
                 .clamp(2.max(valid_labels.len().min(8)), train.len());
             // deterministic per-rung subsample (stratified so tiny rungs
@@ -166,79 +127,37 @@ impl AutoMlSystem for SuccessiveHalving {
                 train.clone()
             };
             // --- plan the affordable prefix of the rung (same order and
-            //     budget arithmetic as a sequential sweep) ---
-            let seed = self.seed;
-            let mut sim = budget.clone(); // replayed on `budget` below
-            let mut planned: Vec<(usize, f64, u64)> = Vec::new();
+            //     budget arithmetic as a sequential sweep); the whole rung
+            //     is one independent batch ---
+            let mut sim = driver.budget().clone();
+            let mut planned: Vec<(usize, u64)> = Vec::new();
+            let mut plans = Vec::new();
             for (pop_idx, (cand, _)) in population.iter().enumerate() {
                 let cost = fit_cost(cand.family, subset.len());
                 if !sim.can_afford(cost) {
                     break;
                 }
                 sim.consume(cost);
-                planned.push((pop_idx, cost, eval_idx));
-                eval_idx += 1;
+                let idx = driver.trials() + planned.len() as u64;
+                let name = cand.build(seed.wrapping_add(idx)).name();
+                plans.push((format!("rung{rung}[{name}]"), cand.family, cost));
+                planned.push((pop_idx, idx));
             }
-
-            // WAL intent records: one fsync per rung
-            for &(pop_idx, cost, idx) in &planned {
-                let name = population[pop_idx].0.build(seed.wrapping_add(idx)).name();
-                run.note_planned(idx, &format!("rung{rung}[{name}]"), cost);
-            }
-            run.sync();
-
-            // --- the whole rung is an independent population sweep: fit
-            //     it through the par pool (each fit inside the trial
-            //     boundary), results in submission order. Failures
-            //     replayed from the journal are restored without
-            //     re-running ---
-            let faults = &self.faults;
-            let view = run.view();
-            let engine = self.name();
-            let fits = par::map(&planned, |&(pop_idx, _, idx)| match view.failed(idx) {
-                Some(err) => (Err(err), 0.0),
-                None => guard_trial_timed(engine, faults.get(idx), view.token(), || {
-                    let mut model = population[pop_idx].0.build(seed.wrapping_add(idx));
-                    model.fit(&subset.x, &subset.y)?;
-                    let probs = model.predict_proba(&valid.x);
-                    let (_, f1) = best_f1_threshold(&probs, &valid_labels);
-                    Ok((model, probs, f1))
-                }),
-            });
-
-            // --- charge budget, journal outcomes and emit telemetry in
-            //     submission order (replayed trials charge their recorded
-            //     units, so nothing is double-charged on resume) ---
+            let fits = driver.batch(plans, |slot| {
+                let (pop_idx, idx) = planned[slot];
+                let mut model = population[pop_idx].0.build(seed.wrapping_add(idx));
+                model.fit(&subset.x, &subset.y)?;
+                let probs = model.predict_proba(&valid.x);
+                let (_, f1) = best_f1_threshold(&probs, &valid_labels);
+                Ok((model, probs, f1))
+            })?;
+            // a quarantined configuration keeps its f64::MIN score and is
+            // never promoted to the next rung
             let mut rung_results: Vec<Evaluated> = Vec::new();
-            for (&(pop_idx, cost, idx), (fit, wall_ms)) in planned.iter().zip(fits) {
-                let charged = run.charge(idx, cost * self.faults.cost_multiplier(idx));
-                budget.consume(charged);
-                match fit {
-                    Ok((model, probs, f1)) => {
-                        let label = format!("rung{rung}[{}]", model.name());
-                        run.record_done(idx, &label, f1, charged)?;
-                        tracker.record(population[pop_idx].0.family, &label, f1, charged, wall_ms);
-                        leaderboard.push(label, f1, charged);
-                        population[pop_idx].1 = f1;
-                        rung_results.push((population[pop_idx].0.clone(), model, probs, f1));
-                    }
-                    Err(err) => {
-                        // quarantined: the configuration keeps its f64::MIN
-                        // score and is never promoted to the next rung
-                        let name = format!(
-                            "rung{rung}[{}]",
-                            population[pop_idx].0.build(seed.wrapping_add(idx)).name()
-                        );
-                        run.record_failed(idx, &name, &err, charged)?;
-                        tracker.record_failure(
-                            population[pop_idx].0.family,
-                            &name,
-                            &err,
-                            charged,
-                            wall_ms,
-                        );
-                        leaderboard.push_failed(name, err, charged);
-                    }
+            for ((pop_idx, _), fit) in planned.into_iter().zip(fits) {
+                if let Some((model, probs, f1)) = fit {
+                    population[pop_idx].1 = f1;
+                    rung_results.push((population[pop_idx].0.clone(), model, probs, f1));
                 }
             }
             if rung_results.is_empty() {
@@ -251,9 +170,8 @@ impl AutoMlSystem for SuccessiveHalving {
             // promote the top fraction (scores are guard-validated finite,
             // but keep the sort NaN-safe regardless)
             survivors.sort_by(|a, b| linalg::stats::nan_worst_cmp(b.3, a.3));
-            let keep =
-                ((survivors.len() as f64 * self.config.keep_fraction).ceil() as usize).max(1);
-            if keep == 1 || subsample >= 1.0 || budget.exhausted() {
+            let keep = ((survivors.len() as f64 * KEEP_FRACTION).ceil() as usize).max(1);
+            if keep == 1 || subsample >= 1.0 || driver.budget().exhausted() {
                 break;
             }
             population = survivors
@@ -266,22 +184,13 @@ impl AutoMlSystem for SuccessiveHalving {
         }
 
         if survivors.is_empty() {
-            span.add_units(budget.used());
-            return Err(all_failed_error(&leaderboard, budget, train.len()));
+            return Err(driver.fail(train.len()));
         }
         let (_, model, probs, _) = survivors.swap_remove(0);
         let (threshold, val_f1) = best_f1_threshold(&probs, &valid_labels);
         self.best = Some(model);
         self.threshold = threshold;
-        span.add_units(budget.used());
-        Ok(FitReport {
-            system: self.name(),
-            units_used: budget.used(),
-            hours_used: budget.used_hours(),
-            val_f1,
-            threshold,
-            leaderboard,
-        })
+        Ok(driver.finish(val_f1, threshold))
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
@@ -324,7 +233,7 @@ mod tests {
         let mut sys = SuccessiveHalving::new(7);
         let mut budget = Budget::hours(1.0).unwrap();
         let report = sys.fit(&train, &valid, &mut budget).unwrap();
-        assert!(report.leaderboard.len() >= HalvingConfig::default().initial_population / 2);
+        assert!(report.leaderboard.len() >= INITIAL_POPULATION / 2);
         let f1 = ml::metrics::f1_score(&sys.predict(&test.x), &test.labels_bool());
         assert!(f1 > 85.0, "F1 {f1}");
     }

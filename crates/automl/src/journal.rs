@@ -1,10 +1,10 @@
 //! The trial write-ahead log: crash-safe checkpointing for a search.
 //!
 //! Long budgeted runs (the paper's 6-hour Table 5 cells) must survive a
-//! process kill without losing the whole search. Every engine threads its
-//! trials through a `SearchRun` (crate-internal), which appends one JSONL record per
-//! planned / completed / failed trial to an append-only journal and
-//! fsyncs at trial boundaries. A later run pointed at the same journal
+//! process kill without losing the whole search. Every engine submits its
+//! trials through the crate-internal search driver (`journal::driver`),
+//! which appends one JSONL record per planned / completed / failed trial
+//! to an append-only journal and fsyncs at trial boundaries. A later run pointed at the same journal
 //! ([`ResumePolicy::Resume`]) replays it instead of repeating work:
 //!
 //! * **Failed trials are not re-run.** Their recorded [`TrialError`] and
@@ -60,6 +60,8 @@ use ml::TrialError;
 use obs::json::{Json, Obj};
 use par::{CancelToken, Deadline};
 
+pub(crate) mod driver;
+
 /// Journal format version written into (and required of) the header.
 const JOURNAL_VERSION: u64 = 1;
 
@@ -91,7 +93,7 @@ impl ResumePolicy {
 
 /// A trial outcome reconstructed from the journal.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Recorded {
+enum Recorded {
     /// The trial completed; `val_f1` and the charged units were recorded.
     Done { val_f1: f64, charged: f64 },
     /// The trial failed; the error and the charged units were recorded.
@@ -108,7 +110,7 @@ impl Recorded {
 
 /// Fingerprint of a search configuration: the shared WAL fingerprint
 /// primitive ([`obs::wal::fnv1a_hex`]).
-pub(crate) fn config_fingerprint(parts: &[&str]) -> String {
+fn config_fingerprint(parts: &[&str]) -> String {
     obs::wal::fnv1a_hex(parts)
 }
 
@@ -270,37 +272,13 @@ fn decode_trial_line(v: &Json) -> Option<(u64, Option<Recorded>)> {
     }
 }
 
-/// Shareable read-only view for use inside parallel trial closures:
-/// replayed failures and the cancellation token, nothing mutable.
-pub(crate) struct ReplayView<'a> {
-    outcomes: &'a BTreeMap<u64, Recorded>,
-    token: CancelToken,
-}
-
-impl ReplayView<'_> {
-    /// The recorded failure for `trial`, if the journal says it failed.
-    /// Replayed failures must not re-run: their outcome may have depended
-    /// on a wall clock (deadline abandonment) or a fixed bug.
-    pub(crate) fn failed(&self, trial: u64) -> Option<TrialError> {
-        match self.outcomes.get(&trial) {
-            Some(Recorded::Failed { error, .. }) => Some(error.clone()),
-            _ => None,
-        }
-    }
-
-    /// The cancellation token trials must run under.
-    pub(crate) fn token(&self) -> &CancelToken {
-        &self.token
-    }
-}
-
 /// Per-`fit` crash-safety state: the journal writer, the replay map
 /// reconstructed from a prior run, and the wall-clock deadline.
 ///
-/// Engines create one at the top of `fit_resumable` and route every trial
-/// through it; with [`ResumePolicy::Fresh`] and no deadline every method
-/// is a cheap no-op and the search is exactly the pre-WAL search.
-pub(crate) struct SearchRun {
+/// Private to this module and the search driver, which owns the only
+/// instance per `fit`; with [`ResumePolicy::Fresh`] and no deadline every
+/// method is a cheap no-op.
+struct SearchRun {
     engine: &'static str,
     deadline: Deadline,
     token: CancelToken,
@@ -316,7 +294,7 @@ impl SearchRun {
     /// `config_parts` fingerprint the search space and data shape; a
     /// journal whose header disagrees on engine, seed, budget or
     /// fingerprint is refused with [`TrialError::ResumeMismatch`].
-    pub(crate) fn start(
+    fn start(
         engine: &'static str,
         seed: u64,
         budget: &Budget,
@@ -336,7 +314,24 @@ impl SearchRun {
         };
         match policy {
             ResumePolicy::Fresh => {}
-            ResumePolicy::Checkpoint(path) => {
+            ResumePolicy::Resume(path) if path.exists() => {
+                let (writer, outcomes, truncated) =
+                    open_resume(path, engine, seed, budget, &config)?;
+                run.replayed = outcomes.len();
+                run.outcomes = outcomes;
+                run.journal = Some(writer);
+                obs::emit(
+                    "journal.resume",
+                    &[
+                        ("engine", obs::Value::Str(engine.to_owned())),
+                        ("path", obs::Value::Str(path.display().to_string())),
+                        ("replayed", obs::Value::U64(run.replayed as u64)),
+                        ("truncated_bytes", obs::Value::U64(truncated)),
+                    ],
+                );
+            }
+            // a missing journal under `Resume` starts one, like `Checkpoint`
+            ResumePolicy::Checkpoint(path) | ResumePolicy::Resume(path) => {
                 run.journal = Some(create_journal(path, engine, seed, budget, &config)?);
                 obs::emit(
                     "journal.checkpoint",
@@ -345,33 +340,6 @@ impl SearchRun {
                         ("path", obs::Value::Str(path.display().to_string())),
                     ],
                 );
-            }
-            ResumePolicy::Resume(path) => {
-                if path.exists() {
-                    let (writer, outcomes, truncated) =
-                        open_resume(path, engine, seed, budget, &config)?;
-                    run.replayed = outcomes.len();
-                    run.outcomes = outcomes;
-                    run.journal = Some(writer);
-                    obs::emit(
-                        "journal.resume",
-                        &[
-                            ("engine", obs::Value::Str(engine.to_owned())),
-                            ("path", obs::Value::Str(path.display().to_string())),
-                            ("replayed", obs::Value::U64(run.replayed as u64)),
-                            ("truncated_bytes", obs::Value::U64(truncated)),
-                        ],
-                    );
-                } else {
-                    run.journal = Some(create_journal(path, engine, seed, budget, &config)?);
-                    obs::emit(
-                        "journal.checkpoint",
-                        &[
-                            ("engine", obs::Value::Str(engine.to_owned())),
-                            ("path", obs::Value::Str(path.display().to_string())),
-                        ],
-                    );
-                }
             }
         }
         Ok(run)
@@ -382,42 +350,31 @@ impl SearchRun {
     /// `journal.resume` obs event instead, never via the `FitReport`,
     /// which must stay byte-identical between fresh and resumed runs).
     #[cfg(test)]
-    pub(crate) fn replayed_count(&self) -> usize {
+    fn replayed_count(&self) -> usize {
         self.replayed
     }
 
     /// A clone of the run's cancellation token.
-    pub(crate) fn token(&self) -> CancelToken {
+    fn token(&self) -> CancelToken {
         self.token.clone()
     }
 
-    /// Read-only view for parallel trial closures.
-    pub(crate) fn view(&self) -> ReplayView<'_> {
-        ReplayView {
-            outcomes: &self.outcomes,
-            token: self.token.clone(),
-        }
-    }
-
-    /// The recorded failure for `trial` (sequential-engine counterpart of
-    /// [`ReplayView::failed`]).
-    pub(crate) fn replayed_failure(&self, trial: u64) -> Option<TrialError> {
+    /// The recorded failure for `trial`, if the journal says it failed.
+    fn replayed_failure(&self, trial: u64) -> Option<TrialError> {
         match self.outcomes.get(&trial) {
             Some(Recorded::Failed { error, .. }) => Some(error.clone()),
             _ => None,
         }
     }
 
-    /// Whether the wall-clock deadline has passed. Engines poll this at
-    /// planning boundaries (batch / rung / roster member) and stop
-    /// planning new trials once it fires.
-    pub(crate) fn deadline_expired(&self) -> bool {
+    /// Whether the wall-clock deadline has passed.
+    fn deadline_expired(&self) -> bool {
         self.deadline.expired()
     }
 
     /// Emit the one-shot `search.deadline` event when an engine stops
     /// early; idempotent.
-    pub(crate) fn note_deadline(&mut self) {
+    fn note_deadline(&mut self) {
         if self.deadline_noted {
             return;
         }
@@ -432,7 +389,7 @@ impl SearchRun {
     /// The units to charge for `trial`: the journal's recorded charge
     /// when the trial was replayed (so an inflated or abandoned trial is
     /// never double-charged), else `computed`.
-    pub(crate) fn charge(&self, trial: u64, computed: f64) -> f64 {
+    fn charge(&self, trial: u64, computed: f64) -> f64 {
         match self.outcomes.get(&trial) {
             Some(rec) => rec.charged(),
             None => computed,
@@ -441,7 +398,7 @@ impl SearchRun {
 
     /// Record that `trial` has been planned (WAL intent record). Not
     /// fsync'd; call [`SearchRun::sync`] once per planning batch.
-    pub(crate) fn note_planned(&mut self, trial: u64, model: &str, cost: f64) {
+    fn note_planned(&mut self, trial: u64, model: &str, cost: f64) {
         if self.outcomes.contains_key(&trial) {
             return; // already journaled with an outcome by a prior run
         }
@@ -456,7 +413,7 @@ impl SearchRun {
     }
 
     /// Fsync buffered journal writes (the trial-boundary barrier).
-    pub(crate) fn sync(&mut self) {
+    fn sync(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.sync();
         }
@@ -467,7 +424,7 @@ impl SearchRun {
     /// with the journal, otherwise the run aborts with
     /// [`TrialError::ResumeMismatch`] (a silent divergence would break
     /// the byte-identity contract).
-    pub(crate) fn record_done(
+    fn record_done(
         &mut self,
         trial: u64,
         model: &str,
@@ -505,7 +462,7 @@ impl SearchRun {
     /// Record a failed (quarantined) trial and its charged units.
     /// Replayed failures are verified for agreement the same way
     /// completed trials are.
-    pub(crate) fn record_failed(
+    fn record_failed(
         &mut self,
         trial: u64,
         model: &str,

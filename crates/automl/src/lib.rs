@@ -1,8 +1,9 @@
-//! # automl — three AutoML engines in the style of the paper's systems
+//! # automl — AutoML engines in the style of the paper's systems
 //!
 //! The paper pipelines its EM adapter with AutoSklearn, AutoGluon and
 //! H2OAutoML. None exists in Rust, so this crate reimplements the *search
-//! strategy* that defines each system, on top of the `ml` model zoo:
+//! strategy* that defines each system, on top of the `ml` model zoo, plus
+//! one search strategy the paper does not use:
 //!
 //! * [`sklearn_like::AutoSklearnStyle`] — meta-learning warm starts, then
 //!   **Bayesian optimization** (SMBO with a random-forest surrogate and
@@ -15,6 +16,16 @@
 //! * [`h2o_like::H2oStyle`] — **fast random search** over the space plus a
 //!   **super learner**: a stacked ensemble whose metalearner is a
 //!   ridge-regularized GLM over out-of-fold predictions.
+//! * [`halving::SuccessiveHalving`] — **successive halving**: many cheap
+//!   configurations on a data subsample, the top third promoted to twice
+//!   the data each rung (the Hyperband/ASHA class), for the `ablations`
+//!   bench's search-strategy comparison.
+//!
+//! Each engine is only a policy — what to plan and how to combine the
+//! fitted models. Journaling, guarded execution, budget charging, trial
+//! telemetry and the leaderboard live in one crate-internal search driver
+//! under [`journal`], so every engine gets the same crash-safety and
+//! fault-isolation contract.
 //!
 //! Budgets ([`budget::Budget`]) are counted in deterministic *units* rather
 //! than wall-clock seconds so every experiment is reproducible; the unit
@@ -40,7 +51,6 @@ pub mod leaderboard;
 pub mod sklearn_like;
 pub mod smbo;
 pub mod space;
-pub mod telemetry;
 pub(crate) mod trial;
 
 use linalg::Matrix;

@@ -15,12 +15,11 @@
 use crate::budget::{fit_cost, Budget};
 use crate::ensemble::{greedy_selection, weighted_average};
 use crate::fault::FaultPlan;
-use crate::journal::{ResumePolicy, SearchRun};
-use crate::leaderboard::{FitReport, Leaderboard};
+use crate::journal::driver::{data_shape, SearchDriver};
+use crate::journal::ResumePolicy;
+use crate::leaderboard::FitReport;
 use crate::smbo::{propose, warm_starts, Surrogate};
 use crate::space::{sklearn_families, Candidate};
-use crate::telemetry::TrialTracker;
-use crate::trial::{all_failed_error, guard_trial_timed};
 use crate::AutoMlSystem;
 use linalg::{Matrix, Rng};
 use ml::dataset::TabularData;
@@ -81,25 +80,17 @@ impl AutoMlSystem for AutoSklearnStyle {
         policy: &ResumePolicy,
         deadline: Deadline,
     ) -> Result<FitReport, TrialError> {
-        let span = obs::span("automl.AutoSklearn.fit");
-        let mut tracker = TrialTracker::new(self.name());
         let mut rng = Rng::new(self.seed ^ 0xA51);
         let families = sklearn_families();
         let valid_labels = valid.labels_bool();
-        let mut leaderboard = Leaderboard::new();
-        let positives = train.y.iter().filter(|&&v| v >= 0.5).count();
-        let mut run = SearchRun::start(
+        let mut driver = SearchDriver::start(
             self.name(),
             self.seed,
+            self.faults.clone(),
             budget,
             &[
                 &format!("families={families:?}"),
-                &format!(
-                    "rows={} cols={} pos={positives} valid={}",
-                    train.len(),
-                    train.x.cols(),
-                    valid.len()
-                ),
+                &data_shape(train, valid),
                 &format!(
                     "batch={SMBO_BATCH} min_random={MIN_RANDOM_EVALS} \
                      trees={SURROGATE_TREES} rounds={ENSEMBLE_ROUNDS}"
@@ -108,7 +99,6 @@ impl AutoMlSystem for AutoSklearnStyle {
             policy,
             deadline,
         )?;
-        let mut deadline_cut = false;
 
         let mut warm = warm_starts(train.len(), train.positive_ratio());
         warm.reverse(); // pop() yields them in priority order
@@ -116,15 +106,8 @@ impl AutoMlSystem for AutoSklearnStyle {
         let mut fitted: Vec<(Box<dyn Classifier>, Vec<f32>)> = Vec::new();
 
         let seed = self.seed;
-        let mut eval_idx = 0u64;
-        loop {
-            // --- wall-clock ceiling: stop planning once the deadline has
-            //     passed and hand back the best-so-far report ---
-            if run.deadline_expired() {
-                run.note_deadline();
-                deadline_cut = true;
-                break;
-            }
+        // stop planning once the deadline has passed: best-so-far report
+        while !driver.deadline_stop() {
             // --- plan one batch on the driving thread (deterministic) ---
             // one surrogate snapshot per round; every proposal in the
             // round maximizes EI against it (constant-liar batch SMBO)
@@ -141,8 +124,9 @@ impl AutoMlSystem for AutoSklearnStyle {
             } else {
                 None
             };
-            let mut sim = budget.clone(); // replayed on `budget` below
-            let mut planned: Vec<(Candidate, f64, u64)> = Vec::new();
+            let mut sim = driver.budget().clone();
+            let mut planned: Vec<(Candidate, u64)> = Vec::new();
+            let mut plans = Vec::new();
             let mut starved = false;
             while planned.len() < SMBO_BATCH {
                 let candidate = if let Some(c) = warm.pop() {
@@ -161,63 +145,26 @@ impl AutoMlSystem for AutoSklearnStyle {
                     break;
                 }
                 sim.consume(cost);
-                planned.push((candidate, cost, eval_idx));
-                eval_idx += 1;
+                let idx = driver.trials() + planned.len() as u64;
+                let label = candidate.build(seed.wrapping_add(idx)).name();
+                plans.push((label, candidate.family, cost));
+                planned.push((candidate, idx));
             }
             if planned.is_empty() {
                 break;
             }
-            // WAL intent records: one fsync per batch
-            for (candidate, cost, idx) in &planned {
-                let name = candidate.build(seed.wrapping_add(*idx)).name();
-                run.note_planned(*idx, &name, *cost);
-            }
-            run.sync();
-
-            // --- fit the batch in parallel; results come back in
-            //     submission order whatever the scheduling. Each fit runs
-            //     inside the trial boundary so a failing candidate — panic,
-            //     NaN score, injected fault — is quarantined as an `Err`
-            //     without losing the worker or the batch. Failures
-            //     replayed from the journal are restored without
-            //     re-running (their outcome may have been wall-clock
-            //     dependent, e.g. a deadline abandonment) ---
-            let faults = &self.faults;
-            let view = run.view();
-            let engine = self.name();
-            let evals = par::map(&planned, |(candidate, _, idx)| match view.failed(*idx) {
-                Some(err) => (Err(err), 0.0),
-                None => guard_trial_timed(engine, faults.get(*idx), view.token(), || {
-                    let mut model = candidate.build(seed.wrapping_add(*idx));
-                    model.fit(&train.x, &train.y)?;
-                    let probs = model.predict_proba(&valid.x);
-                    let (_, f1) = best_f1_threshold(&probs, &valid_labels);
-                    Ok((model, probs, f1))
-                }),
-            });
-
-            // --- charge budget, journal outcomes and emit telemetry in
-            //     submission order (replayed trials charge their recorded
-            //     units, so nothing is double-charged on resume) ---
-            for ((candidate, cost, idx), (eval, wall_ms)) in planned.into_iter().zip(evals) {
-                let charged = run.charge(idx, cost * self.faults.cost_multiplier(idx));
-                budget.consume(charged);
-                match eval {
-                    Ok((model, probs, f1)) => {
-                        run.record_done(idx, &model.name(), f1, charged)?;
-                        tracker.record(candidate.family, &model.name(), f1, charged, wall_ms);
-                        leaderboard.push(model.name(), f1, charged);
-                        history.push((candidate, f1 / 100.0));
-                        fitted.push((model, probs));
-                    }
-                    Err(err) => {
-                        // the attempted work is charged, the candidate is
-                        // quarantined, and the search continues
-                        let name = candidate.build(seed.wrapping_add(idx)).name();
-                        run.record_failed(idx, &name, &err, charged)?;
-                        tracker.record_failure(candidate.family, &name, &err, charged, wall_ms);
-                        leaderboard.push_failed(name, err, charged);
-                    }
+            let fits = driver.batch(plans, |slot| {
+                let (candidate, idx) = &planned[slot];
+                let mut model = candidate.build(seed.wrapping_add(*idx));
+                model.fit(&train.x, &train.y)?;
+                let probs = model.predict_proba(&valid.x);
+                let (_, f1) = best_f1_threshold(&probs, &valid_labels);
+                Ok((model, probs, f1))
+            })?;
+            for ((candidate, _), fit) in planned.into_iter().zip(fits) {
+                if let Some((model, probs, f1)) = fit {
+                    history.push((candidate, f1 / 100.0));
+                    fitted.push((model, probs));
                 }
             }
             if starved {
@@ -227,8 +174,7 @@ impl AutoMlSystem for AutoSklearnStyle {
 
         // greedy ensemble selection over everything evaluated
         if fitted.is_empty() {
-            span.add_units(budget.used());
-            return Err(all_failed_error(&leaderboard, budget, train.len()));
+            return Err(driver.fail(train.len()));
         }
         let val_probs: Vec<Vec<f32>> = fitted.iter().map(|(_, p)| p.clone()).collect();
         let weights = greedy_selection(&val_probs, &valid_labels, ENSEMBLE_ROUNDS);
@@ -248,18 +194,10 @@ impl AutoMlSystem for AutoSklearnStyle {
         // the real AutoSklearn always runs out its clock — unless a
         // wall-clock deadline cut the run short, in which case reporting
         // the drained budget would overstate the work done
-        if !deadline_cut {
-            budget.drain();
+        if !driver.stopped_by_deadline() {
+            driver.budget().drain();
         }
-        span.add_units(budget.used());
-        Ok(FitReport {
-            system: self.name(),
-            units_used: budget.used(),
-            hours_used: budget.used_hours(),
-            val_f1,
-            threshold,
-            leaderboard,
-        })
+        Ok(driver.finish(val_f1, threshold))
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {

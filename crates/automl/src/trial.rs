@@ -1,4 +1,4 @@
-//! The guarded trial boundary every engine evaluates candidates through.
+//! The guarded trial boundary the search driver runs every trial through.
 //!
 //! [`guard_trial`] is the single place where a candidate fit can go wrong
 //! without taking the search down with it. It applies any injected
@@ -10,15 +10,16 @@
 //! (which must stay NaN-free to keep its `PartialEq` byte-identity
 //! contract across thread counts).
 
-use crate::budget::{fit_cost, Budget, ModelFamily};
 use crate::fault::{Fault, INJECTED_KILL_MSG, INJECTED_PANIC_MSG};
-use crate::leaderboard::Leaderboard;
 use ml::TrialError;
 use par::CancelToken;
 
-/// Outcome of one guarded candidate evaluation: the fitted model,
-/// its validation probabilities and its validation score.
-pub(crate) type TrialOutcome<T> = Result<(T, Vec<f32>, f64), TrialError>;
+/// A successful trial: the fitted model, its validation probabilities
+/// and its validation score.
+pub(crate) type Fitted<T> = (T, Vec<f32>, f64);
+
+/// Outcome of one guarded candidate evaluation.
+pub(crate) type TrialOutcome<T> = Result<Fitted<T>, TrialError>;
 
 /// Ceiling on how long a [`Fault::Hang`] may spin when no deadline is
 /// set, so a misconfigured fault plan cannot wedge a test run forever.
@@ -112,56 +113,6 @@ pub(crate) fn guard_trial<T>(
         return Err(TrialError::NonFiniteScore { stage: "score" });
     }
     Ok((model, probs, score))
-}
-
-/// Run one candidate evaluation inside the fault boundary ([`guard_trial`])
-/// with cost attribution: the engine name is installed as the thread's
-/// cost-ledger scope (so every instrumented phase the fit touches — GEMM,
-/// fit epochs, cache misses — is charged to this engine), a `trial.<engine>`
-/// span marks the evaluation in the span tree and the thread-aware trace,
-/// and the trial's wall time is booked to the ledger's `trial` phase.
-///
-/// Returns the outcome plus the evaluation's wall-clock milliseconds, which
-/// engines forward into [`crate::telemetry::TrialTracker`] events. Wall
-/// time is telemetry only: it never flows into the returned outcome, so
-/// `FitReport` byte-identity is preserved.
-pub(crate) fn guard_trial_timed<T>(
-    engine: &'static str,
-    fault: Option<Fault>,
-    token: &CancelToken,
-    f: impl FnOnce() -> TrialOutcome<T>,
-) -> (TrialOutcome<T>, f64) {
-    // both guards release during unwind too (an injected Kill panics
-    // straight through this boundary), so the scope stack and span tree
-    // stay well-formed even when a trial dies
-    let _scope = obs::ledger::scope(engine);
-    let _span = obs::span(format!("trial.{engine}"));
-    let start = std::time::Instant::now();
-    let out = guard_trial(fault, token, f);
-    let wall = start.elapsed();
-    obs::ledger::add("trial", wall.as_nanos() as u64);
-    (out, wall.as_secs_f64() * 1e3)
-}
-
-/// The run-level error when a search produced no usable model: every
-/// attempted trial failed ([`TrialError::AllTrialsFailed`]), or the
-/// budget never covered even the cheapest fit
-/// ([`TrialError::BudgetExceeded`]).
-pub(crate) fn all_failed_error(
-    leaderboard: &Leaderboard,
-    budget: &Budget,
-    train_rows: usize,
-) -> TrialError {
-    if leaderboard.is_empty() {
-        TrialError::budget_exceeded(
-            fit_cost(ModelFamily::NaiveBayes, train_rows),
-            budget.remaining(),
-        )
-    } else {
-        TrialError::AllTrialsFailed {
-            attempted: leaderboard.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,48 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn timed_guard_books_ledger_time_under_the_engine_scope() {
-        let (out, wall_ms) = guard_trial_timed("t.guard.Ledger", None, &free(), ok_trial);
-        assert!(out.is_ok());
-        assert!(wall_ms >= 0.0);
-        let booked = obs::ledger_snapshot()
-            .into_iter()
-            .find(|e| e.scope == "t.guard.Ledger" && e.phase == "trial")
-            .expect("trial wall time booked to the engine scope");
-        assert_eq!(booked.count, 1);
-    }
-
-    #[test]
-    fn spans_survive_a_panicking_trial() {
-        // the SpanGuard unwind audit: a panic inside a guarded trial must
-        // close every span the trial opened, so the span tree and trace
-        // export are never corrupted by a quarantined candidate
-        crate::fault::silence_injected_panic_output();
-        let (out, _) = guard_trial_timed::<()>("t.guard.SpanEngine", None, &free(), || {
-            let _inner = obs::span("t.guard.inner");
-            std::panic::panic_any(format!("{INJECTED_PANIC_MSG} (span unwind)"));
-        });
-        assert_eq!(out.unwrap_err().kind(), "fit_panic");
-        let tree = obs::span_tree();
-        let root = tree
-            .iter()
-            .find(|r| r.name == "trial.t.guard.SpanEngine")
-            .expect("trial span recorded despite the panic");
-        assert!(
-            root.children.iter().any(|c| c.name == "t.guard.inner"),
-            "inner span closed during unwind: {root:?}"
-        );
-        // and the thread's span stack is clean again: a fresh span lands
-        // at the root, not under a stale trial frame
-        {
-            let _g = obs::span("t.guard.after");
-        }
-        assert!(obs::span_tree().iter().any(|r| r.name == "t.guard.after"));
-    }
-
-    #[test]
     fn inflate_cost_does_not_alter_the_outcome() {
-        // cost inflation is applied by the engine's budget accounting, not
+        // cost inflation is applied by the driver's budget accounting, not
         // by the guard — the trial itself must be untouched
         let (_, _, score) = guard_trial(Some(Fault::InflateCost(3.0)), &free(), ok_trial).unwrap();
         assert_eq!(score, 72.5);

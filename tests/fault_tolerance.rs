@@ -201,6 +201,114 @@ fn faulted_reports_are_thread_count_invariant() {
     }
 }
 
+/// The leaderboard, the obs trial stream and the journal's outcome records
+/// all come from the one search driver: under faults they must name the
+/// same models, with the same charges, in the same order, and failures
+/// must score `-inf` (never NaN).
+#[test]
+fn leaderboard_trial_events_and_journal_agree_under_faults() {
+    let _g = guard();
+    silence_injected_panic_output();
+    for (name, make) in engines() {
+        obs::reset();
+        let path = tmp_journal(&format!("streams_{name}"));
+        let plan = FaultPlan::none()
+            .inject(1, Fault::Fail)
+            .inject(2, Fault::InflateCost(2.5));
+        let (report, _) = fit_resumable_with(
+            make,
+            plan,
+            1.0,
+            &ResumePolicy::Checkpoint(path.clone()),
+            Deadline::none(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: faulted run failed: {e}"));
+
+        let board: Vec<(String, f64, f64)> = report
+            .leaderboard
+            .entries()
+            .iter()
+            .map(|e| (e.model.clone(), e.val_f1, e.cost_units))
+            .collect();
+        let events: Vec<(String, f64, f64)> = obs::recent_trials(Some(name))
+            .into_iter()
+            .map(|e| (e.model, e.val_f1, e.cost_units))
+            .collect();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<obs::json::Json> = text
+            .lines()
+            .skip(1) // header
+            .map(|l| obs::json::parse(l).unwrap())
+            .collect();
+        let field = |r: &obs::json::Json, k: &str| r.get(k).and_then(|v| v.as_f64()).unwrap();
+        let journal: Vec<(String, f64, f64)> = records
+            .iter()
+            .filter_map(|r| {
+                let val_f1 = match r.get("ev")?.as_str()? {
+                    "done" => field(r, "val_f1"),
+                    "failed" => f64::NEG_INFINITY,
+                    _ => return None,
+                };
+                let model = r.get("model")?.as_str()?.to_owned();
+                Some((model, val_f1, field(r, "charged")))
+            })
+            .collect();
+        assert!(board.len() > 2, "{name}: the faulted trials never ran");
+        assert_eq!(board, events, "{name}: leaderboard vs trial events");
+        assert_eq!(board, journal, "{name}: leaderboard vs journal outcomes");
+
+        assert_eq!(board[1].1, f64::NEG_INFINITY, "{name}: trial 1 must fail");
+        assert_eq!(report.failed_trials().len(), 1, "{name}: one failure");
+        let planned_cost = records
+            .iter()
+            .find(|r| {
+                r.get("ev").and_then(|v| v.as_str()) == Some("planned")
+                    && r.get("trial").and_then(|v| v.as_u64()) == Some(2)
+            })
+            .map(|r| field(r, "cost"))
+            .unwrap();
+        assert_eq!(
+            board[2].2,
+            planned_cost * 2.5,
+            "{name}: trial 2 must be charged its inflated cost"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// `with_faults` uses the plan it is given: building an engine with an
+/// explicit plan must not parse `AUTOML_EM_FAULTS`, whose malformed values
+/// exit the process. Re-executes this test binary with a malformed spec;
+/// the child builds every engine and must exit cleanly.
+#[test]
+fn with_faults_ignores_the_fault_environment() {
+    const CHILD: &str = "EM_FAULT_ENV_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        for (_, make) in engines() {
+            drop(make(FaultPlan::none()));
+        }
+        return;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "with_faults_ignores_the_fault_environment",
+            "--test-threads=1",
+        ])
+        .env(CHILD, "1")
+        .env("AUTOML_EM_FAULTS", "panic@x")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "child exited with {:?}: {stdout}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("1 passed"), "child ran no test: {stdout}");
+}
+
 #[test]
 fn inflated_cost_is_charged_to_the_trial() {
     let _g = guard();
