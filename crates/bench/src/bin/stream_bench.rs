@@ -424,7 +424,6 @@ fn phase_promotion(fixture: &Path) -> String {
         std::sync::Arc::clone(&host),
         &ServeConfig {
             addr: "127.0.0.1:0".into(),
-            linger_us: 500,
             ..ServeConfig::default()
         },
     )

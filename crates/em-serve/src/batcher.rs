@@ -3,10 +3,14 @@
 //!
 //! Connection threads [`submit`](Batcher::submit) their pairs into a
 //! bounded queue and block on a per-job waiter; worker threads pull
-//! *microbatches* off the queue — up to `max_batch` pairs, or whatever
-//! accumulated within a `linger` window of the oldest queued job — run
-//! one fused encode→scale→predict pass and scatter the results back to
-//! the waiters. Because every stage of
+//! *microbatches* off the queue, run one fused encode→scale→predict pass
+//! and scatter the results back to the waiters.
+//!
+//! Batching is **work-conserving**: a free worker takes whatever is
+//! queued — whole jobs, up to `max_batch` pairs — as soon as it sees the
+//! queue non-empty, and never waits on a timer for company. Batches grow
+//! with load by themselves: jobs that arrive while every worker is busy
+//! coalesce into the next pop. Because every stage of
 //! [`em_core::model::ModelHost::match_proba`] is row-independent, the
 //! probabilities are bit-identical however requests get grouped: the
 //! coalescer changes latency and throughput, never answers.
@@ -28,6 +32,7 @@
 //! supervisor ([`crate::supervisor`]) then restarts the worker loop.
 
 use crate::reload::HostCell;
+use crate::LATENCY_BOUNDS_US;
 use automl::fault::ServeFaultPlan;
 use em_data::RecordPair;
 use par::CircuitBreaker;
@@ -35,6 +40,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Bucket bounds of the `serve.batch_pairs` histogram.
+const BATCH_PAIRS_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 /// Why a submission was refused at the door.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +60,9 @@ pub enum Rejected {
     },
 }
 
-/// A successfully scored job: the job's probabilities plus the identity
-/// of the model version that produced them.
+/// A successfully scored job: the job's probabilities, the identity of
+/// the model version that produced them, and where the job spent its
+/// time inside the batcher.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scored {
     /// Match probabilities, one per submitted pair, in order.
@@ -62,6 +71,17 @@ pub struct Scored {
     pub version: u64,
     /// That version's validation-tuned decision threshold.
     pub threshold: f32,
+    /// Index of the microbatch that scored this job — the sequence the
+    /// `panic@batcher:K` / `err@predict:K` faults count in. Jobs that
+    /// rode in one microbatch share it.
+    pub batch: u64,
+    /// Microseconds from [`Batcher::submit`] until a worker popped this
+    /// job's microbatch (the `serve.queue_wait_us` observation).
+    pub queue_wait_us: u64,
+    /// Microseconds of the predict pass that scored this job's
+    /// microbatch (the `serve.predict_us` observation; shared by every
+    /// job of the batch).
+    pub predict_us: u64,
 }
 
 /// Why a job that was *admitted* could not be scored. These map onto
@@ -145,6 +165,7 @@ impl Waiter {
 struct Job {
     pairs: Vec<RecordPair>,
     waiter: Arc<Waiter>,
+    enqueued: Instant,
 }
 
 struct State {
@@ -153,12 +174,22 @@ struct State {
     draining: bool,
 }
 
+/// The batcher's fixed-name metric handles, resolved once in
+/// [`Batcher::new`] so the request path never takes the registry lock.
+struct Meters {
+    queue_depth: &'static obs::Gauge,
+    batch_pairs: &'static obs::Histogram,
+    batch_failures: &'static obs::Counter,
+    queue_wait_us: &'static obs::Histogram,
+    predict_us: &'static obs::Histogram,
+}
+
 struct Inner {
     state: Mutex<State>,
     arrived: Condvar,
     max_batch: usize,
     max_queued_pairs: usize,
-    linger: Duration,
+    meters: Meters,
     faults: ServeFaultPlan,
     breaker: CircuitBreaker,
     /// Global microbatch sequence number — the key the serve fault plan
@@ -175,14 +206,12 @@ pub struct Batcher {
 
 impl Batcher {
     /// Build a batcher that groups up to `max_batch` pairs per predict
-    /// call, admits at most `max_queued_pairs` queued pairs, lets a
-    /// non-full batch linger for `linger` after its first job before
-    /// flushing, injects `faults` into its workers, and refuses
-    /// admission while `breaker` is open.
+    /// call, admits at most `max_queued_pairs` queued pairs, injects
+    /// `faults` into its workers, and refuses admission while `breaker`
+    /// is open.
     pub fn new(
         max_batch: usize,
         max_queued_pairs: usize,
-        linger: Duration,
         faults: ServeFaultPlan,
         breaker: CircuitBreaker,
     ) -> Self {
@@ -196,7 +225,13 @@ impl Batcher {
                 arrived: Condvar::new(),
                 max_batch: max_batch.max(1),
                 max_queued_pairs: max_queued_pairs.max(1),
-                linger,
+                meters: Meters {
+                    queue_depth: obs::gauge("serve.queue.depth"),
+                    batch_pairs: obs::histogram("serve.batch_pairs", BATCH_PAIRS_BOUNDS),
+                    batch_failures: obs::counter("serve.batch_failures"),
+                    queue_wait_us: obs::histogram("serve.queue_wait_us", LATENCY_BOUNDS_US),
+                    predict_us: obs::histogram("serve.predict_us", LATENCY_BOUNDS_US),
+                },
                 faults,
                 breaker,
                 batch_seq: AtomicU64::new(0),
@@ -241,10 +276,14 @@ impl Batcher {
         st.queue.push_back(Job {
             pairs,
             waiter: Arc::clone(&waiter),
+            enqueued: Instant::now(),
         });
-        obs::gauge("serve.queue.depth").set(st.queued_pairs as f64);
+        let depth = st.queued_pairs;
         drop(st);
-        self.inner.arrived.notify_all();
+        self.inner.meters.queue_depth.set(depth as f64);
+        // one job needs one worker; a busy worker re-checks the queue
+        // before it waits again, so no job can be missed
+        self.inner.arrived.notify_one();
         Ok(waiter)
     }
 
@@ -290,18 +329,26 @@ impl Batcher {
                 Some(b) => b,
                 None => return WorkerExit::Drained,
             };
+            let popped = Instant::now();
+            let meters = &self.inner.meters;
+            let waits: Vec<u64> = batch
+                .iter()
+                .map(|j| micros(popped.duration_since(j.enqueued)))
+                .collect();
+            for &w in &waits {
+                meters.queue_wait_us.observe(w as f64);
+            }
             let batch_idx = self.inner.batch_seq.fetch_add(1, Ordering::SeqCst);
             // one snapshot per microbatch: the hot-swap atomicity unit
             let snap = cell.snapshot();
+            let n_pairs: usize = batch.iter().map(|j| j.pairs.len()).sum();
+            meters.batch_pairs.observe(n_pairs as f64);
+            // an injected slow embed stands in for a slow encode, so it
+            // counts as predict time
+            let predict_start = Instant::now();
             if let Some(ms) = self.inner.faults.slow_embed_ms() {
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            let n_pairs: usize = batch.iter().map(|j| j.pairs.len()).sum();
-            obs::histogram(
-                "serve.batch_pairs",
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
-            )
-            .observe(n_pairs as f64);
             let outcome: Result<Vec<f32>, ServeFailure> = if self.inner.faults.errs_at(batch_idx) {
                 Err(ServeFailure::PredictError(
                     "injected fault: err@predict".into(),
@@ -323,14 +370,19 @@ impl Batcher {
             };
             match outcome {
                 Ok(probs) => {
+                    let predict_us = micros(predict_start.elapsed());
+                    meters.predict_us.observe(predict_us as f64);
                     let threshold = snap.host.threshold();
                     let mut off = 0;
-                    for job in batch {
+                    for (job, queue_wait_us) in batch.into_iter().zip(waits) {
                         let take = job.pairs.len();
                         job.waiter.fill(Ok(Scored {
                             probs: probs[off..off + take].to_vec(),
                             version: snap.version,
                             threshold,
+                            batch: batch_idx,
+                            queue_wait_us,
+                            predict_us,
                         }));
                         off += take;
                     }
@@ -339,7 +391,7 @@ impl Batcher {
                     self.inner.breaker.record_success();
                 }
                 Err(failure) => {
-                    obs::counter("serve.batch_failures").inc();
+                    meters.batch_failures.inc();
                     for job in &batch {
                         job.waiter.fill(Err(failure.clone()));
                     }
@@ -354,14 +406,13 @@ impl Batcher {
         }
     }
 
-    /// Block until a microbatch is ready; `None` means drained + empty.
+    /// Block until the queue holds work, then pop it: whole jobs up to
+    /// `max_batch` pairs — always at least one job, even one that alone
+    /// exceeds `max_batch`. `None` means drained + empty. There is no
+    /// timed wait: a free worker takes whatever is there.
     fn next_batch(&self) -> Option<Vec<Job>> {
         let mut st = self.lock();
-        // wait for the first job (or drain-with-empty-queue)
-        loop {
-            if !st.queue.is_empty() {
-                break;
-            }
+        while st.queue.is_empty() {
             if st.draining {
                 return None;
             }
@@ -371,26 +422,6 @@ impl Batcher {
                 .wait(st)
                 .unwrap_or_else(|p| p.into_inner());
         }
-        // linger from the moment we saw work, hoping to fill the batch —
-        // unless it is already full or we are draining (then flush now)
-        let deadline = Instant::now() + self.inner.linger;
-        while st.queued_pairs < self.inner.max_batch && !st.draining {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = self
-                .inner
-                .arrived
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            st = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        // pop whole jobs until the batch is full (always at least one,
-        // even if that single job alone exceeds max_batch)
         let mut batch = Vec::new();
         let mut pairs = 0usize;
         while let Some(job) = st.queue.front() {
@@ -398,16 +429,18 @@ impl Batcher {
                 break;
             }
             pairs += job.pairs.len();
-            let job = match st.queue.pop_front() {
-                Some(j) => j,
-                None => break,
-            };
-            batch.push(job);
+            batch.extend(st.queue.pop_front());
         }
         st.queued_pairs -= pairs;
-        obs::gauge("serve.queue.depth").set(st.queued_pairs as f64);
+        let depth = st.queued_pairs;
+        drop(st);
+        self.inner.meters.queue_depth.set(depth as f64);
         Some(batch)
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
 }
 
 #[cfg(test)]
@@ -427,11 +460,10 @@ mod tests {
         .unwrap()
     }
 
-    fn plain_batcher(max_batch: usize, queue: usize, linger_ms: u64) -> Batcher {
+    fn plain_batcher(max_batch: usize, queue: usize) -> Batcher {
         Batcher::new(
             max_batch,
             queue,
-            Duration::from_millis(linger_ms),
             ServeFaultPlan::none(),
             CircuitBreaker::new(1000, Duration::from_secs(60), Duration::from_millis(50)),
         )
@@ -444,7 +476,7 @@ mod tests {
         let direct = host.match_proba(&pairs);
         let threshold = host.threshold();
         let cell = HostCell::new(Arc::new(host), 1);
-        let batcher = plain_batcher(8, 1024, 1);
+        let batcher = plain_batcher(8, 1024);
         thread::scope(|s| {
             let worker = {
                 let b = batcher.clone();
@@ -468,10 +500,55 @@ mod tests {
     }
 
     #[test]
+    fn jobs_queued_behind_a_busy_worker_coalesce_into_one_batch() {
+        let host = tiny_host();
+        let pairs: Vec<RecordPair> = host.dataset().split(Split::Test)[..6].to_vec();
+        let direct = host.match_proba(&pairs);
+        let cell = HostCell::new(Arc::new(host), 1);
+        // every microbatch sleeps 200 ms before its predict pass, which
+        // holds the only worker on job A while the next five jobs queue
+        let batcher = Batcher::new(
+            8,
+            1024,
+            ServeFaultPlan::none().slow_embed(200),
+            CircuitBreaker::new(1000, Duration::from_secs(60), Duration::from_millis(50)),
+        );
+        thread::scope(|s| {
+            let worker = {
+                let b = batcher.clone();
+                let c = Arc::clone(&cell);
+                s.spawn(move || b.run_supervised(&c))
+            };
+            let a = batcher.submit(vec![pairs[0].clone()], "match").unwrap();
+            // an empty queue means the worker has popped A
+            while batcher.queued_pairs() > 0 {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let rest: Vec<_> = pairs[1..]
+                .iter()
+                .map(|p| batcher.submit(vec![p.clone()], "match").unwrap())
+                .collect();
+            let a = a.wait().expect("A scored");
+            assert_eq!(a.batch, 0);
+            assert_eq!(a.probs[0].to_bits(), direct[0].to_bits());
+            // the injected slow embed counts as predict time
+            assert!(a.predict_us >= 200_000, "{}", a.predict_us);
+            for (i, w) in rest.iter().enumerate() {
+                let got = w.wait().expect("scored");
+                assert_eq!(got.batch, 1, "job {} rode in the next microbatch", i + 1);
+                assert_eq!(got.probs[0].to_bits(), direct[i + 1].to_bits());
+                assert!(got.predict_us >= 200_000, "{}", got.predict_us);
+            }
+            batcher.shutdown();
+            assert!(matches!(worker.join().unwrap(), WorkerExit::Drained));
+        });
+    }
+
+    #[test]
     fn overload_and_drain_reject_with_typed_errors() {
         let host = tiny_host();
         let pair = host.dataset().split(Split::Test)[0].clone();
-        let batcher = plain_batcher(4, 2, 1);
+        let batcher = plain_batcher(4, 2);
         // no worker running: fill the queue
         let _w1 = batcher.submit(vec![pair.clone()], "match").unwrap();
         let _w2 = batcher.submit(vec![pair.clone()], "match").unwrap();
@@ -493,7 +570,6 @@ mod tests {
         let batcher = Batcher::new(
             4,
             1024,
-            Duration::from_millis(1),
             ServeFaultPlan::none(),
             CircuitBreaker::new(1, Duration::from_secs(60), Duration::from_secs(30)),
         );
@@ -511,7 +587,7 @@ mod tests {
         let host = tiny_host();
         let pairs: Vec<RecordPair> = host.dataset().split(Split::Test)[..6].to_vec();
         let cell = HostCell::new(Arc::new(host), 1);
-        let batcher = plain_batcher(4, 1024, 50);
+        let batcher = plain_batcher(4, 1024);
         // queue everything BEFORE any worker exists, then shut down and
         // only then start the worker: all jobs must still be answered
         let waiters: Vec<_> = pairs
@@ -540,7 +616,6 @@ mod tests {
         let batcher = Batcher::new(
             8,
             1024,
-            Duration::from_millis(1),
             ServeFaultPlan::none().panic_batcher_at(0),
             CircuitBreaker::new(1000, Duration::from_secs(60), Duration::from_millis(50)),
         );
@@ -575,7 +650,6 @@ mod tests {
         let batcher = Batcher::new(
             8,
             1024,
-            Duration::from_millis(1),
             ServeFaultPlan::none().err_predict_at(0),
             CircuitBreaker::new(1000, Duration::from_secs(60), Duration::from_millis(50)),
         );

@@ -15,10 +15,10 @@
 //!   pipelining and hard caps (no chunked bodies, `Content-Length`
 //!   only).
 //! * [`batcher`] — the request coalescer: a bounded queue where
-//!   concurrent small requests merge into GEMM-sized microbatches
-//!   (flush at `max_batch` pairs or after a linger window), with typed
-//!   admission control (`429 overloaded` / `503 draining` / `503
-//!   breaker_open` + `Retry-After`).
+//!   concurrent small requests merge into GEMM-sized microbatches (a
+//!   free worker takes whatever is queued, up to `max_batch` pairs, with
+//!   no timer), with typed admission control (`429 overloaded` / `503
+//!   draining` / `503 breaker_open` + `Retry-After`).
 //! * [`supervisor`] — keeps batch workers alive across panics:
 //!   exponential-backoff restarts, typed `500`s for the batch that
 //!   died, and a circuit breaker that sheds load after repeated
@@ -61,6 +61,13 @@ pub use reload::{HostCell, ReloadError, Reloader, SwapJournal, VersionedHost};
 pub use server::{serve, ServerHandle};
 pub use supervisor::SupervisorConfig;
 
+/// Exponential latency buckets in microseconds (64 µs … ~4 s), shared by
+/// the per-route latency and the per-stage histograms.
+const LATENCY_BOUNDS_US: &[f64] = &[
+    64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0, 16384.0, 32768.0, 65536.0, 131072.0,
+    262144.0, 524288.0, 1048576.0, 2097152.0, 4194304.0,
+];
+
 /// Server tuning knobs, each overridable via an `AUTOML_EM_SERVE_*`
 /// environment variable (see [`from_env`](Self::from_env)).
 ///
@@ -81,10 +88,6 @@ pub struct ServeConfig {
     /// Maximum pairs fused into one predict microbatch
     /// (`AUTOML_EM_SERVE_MAX_BATCH`, default 32).
     pub max_batch: usize,
-    /// How long a non-full microbatch waits for company after its first
-    /// job arrives, in microseconds (`AUTOML_EM_SERVE_LINGER_US`,
-    /// default 2000).
-    pub linger_us: u64,
     /// Admission cap: maximum pairs queued and not yet scored
     /// (`AUTOML_EM_SERVE_QUEUE`, default 256). Beyond it, submissions
     /// get `429 overloaded`.
@@ -137,7 +140,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:8642".into(),
             max_batch: 32,
-            linger_us: 2000,
             queue_pairs: 256,
             max_body: 1 << 20,
             max_conns: 64,
@@ -167,7 +169,6 @@ impl ServeConfig {
         Self {
             addr: std::env::var("AUTOML_EM_SERVE_ADDR").unwrap_or(d.addr),
             max_batch: env_parse("AUTOML_EM_SERVE_MAX_BATCH", d.max_batch),
-            linger_us: env_parse("AUTOML_EM_SERVE_LINGER_US", d.linger_us),
             queue_pairs: env_parse("AUTOML_EM_SERVE_QUEUE", d.queue_pairs),
             max_body: env_parse("AUTOML_EM_SERVE_MAX_BODY", d.max_body),
             max_conns: env_parse("AUTOML_EM_SERVE_MAX_CONNS", d.max_conns),
@@ -203,7 +204,6 @@ mod tests {
         let c = ServeConfig::default();
         assert_eq!(c.addr, "127.0.0.1:8642");
         assert_eq!(c.max_batch, 32);
-        assert_eq!(c.linger_us, 2000);
         assert_eq!(c.queue_pairs, 256);
         assert_eq!(c.max_body, 1 << 20);
         assert_eq!(c.max_conns, 64);

@@ -13,11 +13,11 @@
 //! ([`ServerHandle::shutdown`]) closes the gate, drains the queue and
 //! joins every thread — no admitted request is dropped.
 
-use crate::batcher::{Batcher, Rejected, ServeFailure};
-use crate::http::{self, error_body, render_response, render_response_with, HttpError, Request};
+use crate::batcher::{Batcher, Rejected, Scored, ServeFailure};
+use crate::http::{self, error_body, render_response, render_response_with, Request};
 use crate::reload::{HostCell, ReloadError, Reloader, SwapJournal};
 use crate::supervisor::{self, SupervisorConfig};
-use crate::ServeConfig;
+use crate::{ServeConfig, LATENCY_BOUNDS_US};
 use em_core::model::{load_model, ModelHost};
 use em_data::{Entity, RecordPair, Schema};
 use obs::json::{self, Json};
@@ -33,11 +33,60 @@ use std::time::{Duration, Instant};
 /// `x-model-version`). Names are `&'static` lowercase literals.
 type Headers = Vec<(&'static str, String)>;
 
-/// Exponential latency buckets in microseconds (64 µs … ~4 s).
-const LATENCY_BOUNDS_US: &[f64] = &[
-    64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0, 16384.0, 32768.0, 65536.0, 131072.0,
-    262144.0, 524288.0, 1048576.0, 2097152.0, 4194304.0,
-];
+/// The request path's fixed-name metric handles, resolved once per
+/// server so a request never takes the registry lock or builds a name.
+#[derive(Clone, Copy)]
+struct RouteMeters {
+    req_health: &'static obs::Counter,
+    req_metrics: &'static obs::Counter,
+    req_match: &'static obs::Counter,
+    req_batch: &'static obs::Counter,
+    req_reload: &'static obs::Counter,
+    latency_match: &'static obs::Histogram,
+    latency_batch: &'static obs::Histogram,
+    latency_reload: &'static obs::Histogram,
+    rsp_2xx: &'static obs::Counter,
+    rsp_4xx: &'static obs::Counter,
+    rsp_5xx: &'static obs::Counter,
+}
+
+impl RouteMeters {
+    fn resolve() -> Self {
+        Self {
+            req_health: obs::counter("serve.req.health"),
+            req_metrics: obs::counter("serve.req.metrics"),
+            req_match: obs::counter("serve.req.match"),
+            req_batch: obs::counter("serve.req.batch"),
+            req_reload: obs::counter("serve.req.reload"),
+            latency_match: obs::histogram("serve.latency_us.match", LATENCY_BOUNDS_US),
+            latency_batch: obs::histogram("serve.latency_us.batch", LATENCY_BOUNDS_US),
+            latency_reload: obs::histogram("serve.latency_us.reload", LATENCY_BOUNDS_US),
+            rsp_2xx: obs::counter("serve.rsp.2xx"),
+            rsp_4xx: obs::counter("serve.rsp.4xx"),
+            rsp_5xx: obs::counter("serve.rsp.5xx"),
+        }
+    }
+
+    fn observe_status(&self, status: u16) {
+        match status {
+            200..=299 => self.rsp_2xx,
+            400..=499 => self.rsp_4xx,
+            _ => self.rsp_5xx,
+        }
+        .inc();
+    }
+}
+
+/// What every connection thread shares.
+#[derive(Clone)]
+struct Ctx {
+    gate: par::Gate,
+    batcher: Batcher,
+    cell: Arc<HostCell>,
+    reloader: Arc<Reloader>,
+    max_body: usize,
+    meters: RouteMeters,
+}
 
 /// Start serving `host` per `config`. Binds the listener synchronously
 /// (so a returned handle is already accepting) and spawns the accept
@@ -63,7 +112,6 @@ pub fn serve(host: Arc<ModelHost>, config: &ServeConfig) -> std::io::Result<Serv
     let batcher = Batcher::new(
         config.max_batch,
         config.queue_pairs,
-        Duration::from_micros(config.linger_us),
         config.faults.clone(),
         breaker,
     );
@@ -108,19 +156,18 @@ pub fn serve(host: Arc<ModelHost>, config: &ServeConfig) -> std::io::Result<Serv
     };
     let workers = supervisor::spawn_workers(config.workers, &batcher, &cell, &sup);
     let accept = {
-        let gate = gate.clone();
-        let batcher = batcher.clone();
-        let cell = Arc::clone(&cell);
-        let reloader = Arc::clone(&reloader);
-        let max_body = config.max_body;
+        let ctx = Ctx {
+            gate: gate.clone(),
+            batcher: batcher.clone(),
+            cell: Arc::clone(&cell),
+            reloader,
+            max_body: config.max_body,
+            meters: RouteMeters::resolve(),
+        };
         let max_conns = config.max_conns.max(1);
         std::thread::Builder::new()
             .name("em-serve-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    &listener, &gate, &batcher, &cell, &reloader, max_body, max_conns,
-                );
-            })?
+            .spawn(move || accept_loop(&listener, &ctx, max_conns))?
     };
     obs::emit(
         "serve.started",
@@ -207,15 +254,8 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    gate: &par::Gate,
-    batcher: &Batcher,
-    cell: &Arc<HostCell>,
-    reloader: &Arc<Reloader>,
-    max_body: usize,
-    max_conns: usize,
-) {
+fn accept_loop(listener: &TcpListener, ctx: &Ctx, max_conns: usize) {
+    let gate = &ctx.gate;
     loop {
         let (mut stream, _) = match listener.accept() {
             Ok(pair) => pair,
@@ -251,15 +291,12 @@ fn accept_loop(
             ));
             continue; // permit drops here
         }
-        let gate = gate.clone();
-        let batcher = batcher.clone();
-        let cell = Arc::clone(cell);
-        let reloader = Arc::clone(reloader);
+        let ctx = ctx.clone();
         let spawned = std::thread::Builder::new()
             .name("em-serve-conn".into())
             .spawn(move || {
                 let _permit = permit;
-                handle_connection(stream, &gate, &batcher, &cell, &reloader, max_body);
+                handle_connection(stream, &ctx);
             });
         if spawned.is_err() {
             obs::counter("serve.rejected.conns").inc();
@@ -267,14 +304,7 @@ fn accept_loop(
     }
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    gate: &par::Gate,
-    batcher: &Batcher,
-    cell: &HostCell,
-    reloader: &Reloader,
-    max_body: usize,
-) {
+fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
     // short read timeout so idle keep-alive connections notice a drain
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_nodelay(true);
@@ -283,12 +313,12 @@ fn handle_connection(
     loop {
         // answer every complete pipelined request already buffered
         loop {
-            match http::parse_request(&buf, max_body) {
+            match http::parse_request(&buf, ctx.max_body) {
                 Ok(Some((req, used))) => {
                     buf.drain(..used);
-                    let keep = req.keep_alive && !gate.is_closed();
-                    let (status, body, headers) = route(&req, batcher, cell, reloader);
-                    observe_status(status);
+                    let keep = req.keep_alive && !ctx.gate.is_closed();
+                    let (status, body, headers) = route(&req, ctx);
+                    ctx.meters.observe_status(status);
                     if stream
                         .write_all(&render_response_with(status, &body, keep, &headers))
                         .is_err()
@@ -299,7 +329,9 @@ fn handle_connection(
                 }
                 Ok(None) => break, // torn: need more bytes
                 Err(e) => {
-                    respond_http_error(&mut stream, &e);
+                    ctx.meters.observe_status(e.status());
+                    let body = error_body(e.code(), &e.message());
+                    let _ = stream.write_all(&render_response(e.status(), &body, false));
                     return;
                 }
             }
@@ -313,7 +345,7 @@ fn handle_connection(
             {
                 // idle tick: during a drain with no request in flight,
                 // close instead of holding the permit forever
-                if gate.is_closed() && buf.is_empty() {
+                if ctx.gate.is_closed() && buf.is_empty() {
                     return;
                 }
             }
@@ -322,33 +354,14 @@ fn handle_connection(
     }
 }
 
-fn respond_http_error(stream: &mut TcpStream, e: &HttpError) {
-    observe_status(e.status());
-    let body = error_body(e.code(), &e.message());
-    let _ = stream.write_all(&render_response(e.status(), &body, false));
-}
-
-fn observe_status(status: u16) {
-    let class = match status {
-        200..=299 => "serve.rsp.2xx",
-        400..=499 => "serve.rsp.4xx",
-        _ => "serve.rsp.5xx",
-    };
-    obs::counter(class).inc();
-}
-
-fn route(
-    req: &Request,
-    batcher: &Batcher,
-    cell: &HostCell,
-    reloader: &Reloader,
-) -> (u16, String, Headers) {
+fn route(req: &Request, ctx: &Ctx) -> (u16, String, Headers) {
     let _span = obs::span("serve.request");
     let start = Instant::now();
-    let (status, body, headers, latency_metric) = match (req.method.as_str(), req.path.as_str()) {
+    let m = &ctx.meters;
+    let (status, body, headers, latency) = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            obs::counter("serve.req.health").inc();
-            let snap = cell.snapshot();
+            m.req_health.inc();
+            let snap = ctx.cell.snapshot();
             (
                 200,
                 health_body(&snap.host, snap.version),
@@ -357,23 +370,23 @@ fn route(
             )
         }
         ("GET", "/metrics") => {
-            obs::counter("serve.req.metrics").inc();
+            m.req_metrics.inc();
             (200, metrics_body(), Vec::new(), None)
         }
         ("POST", "/match") => {
-            obs::counter("serve.req.match").inc();
-            let (s, b, h) = handle_match(&req.body, batcher, cell);
-            (s, b, h, Some("serve.latency_us.match"))
+            m.req_match.inc();
+            let (s, b, h) = handle_match(&req.body, &ctx.batcher, &ctx.cell);
+            (s, b, h, Some(m.latency_match))
         }
         ("POST", "/match/batch") => {
-            obs::counter("serve.req.batch").inc();
-            let (s, b, h) = handle_batch(&req.body, batcher, cell);
-            (s, b, h, Some("serve.latency_us.batch"))
+            m.req_batch.inc();
+            let (s, b, h) = handle_batch(&req.body, &ctx.batcher, &ctx.cell);
+            (s, b, h, Some(m.latency_batch))
         }
         ("POST", "/admin/reload") => {
-            obs::counter("serve.req.reload").inc();
-            let (s, b, h) = handle_reload(&req.body, reloader);
-            (s, b, h, Some("serve.latency_us.reload"))
+            m.req_reload.inc();
+            let (s, b, h) = handle_reload(&req.body, &ctx.reloader);
+            (s, b, h, Some(m.latency_reload))
         }
         (_, "/healthz" | "/metrics" | "/match" | "/match/batch" | "/admin/reload") => (
             405,
@@ -388,8 +401,8 @@ fn route(
             None,
         ),
     };
-    if let Some(metric) = latency_metric {
-        obs::histogram(metric, LATENCY_BOUNDS_US).observe(start.elapsed().as_micros() as f64);
+    if let Some(histogram) = latency {
+        histogram.observe(start.elapsed().as_micros() as f64);
     }
     (status, body, headers)
 }
@@ -435,7 +448,7 @@ fn handle_match(body: &[u8], batcher: &Batcher, cell: &HostCell) -> (u16, String
                 o.f64("p_match", f64::from(p))
                     .bool("match", p >= t)
                     .f64("threshold", f64::from(t));
-                (200, o.finish(), version_header(scored.version))
+                (200, o.finish(), scored_headers(&scored))
             }
             Err(failure) => failure_response(&failure),
         },
@@ -510,7 +523,7 @@ fn handle_batch(body: &[u8], batcher: &Batcher, cell: &HostCell) -> (u16, String
                 o.raw("results", &results)
                     .f64("threshold", f64::from(t))
                     .u64("batch", n as u64);
-                (200, o.finish(), version_header(scored.version))
+                (200, o.finish(), scored_headers(&scored))
             }
             Err(failure) => failure_response(&failure),
         },
@@ -570,6 +583,24 @@ fn handle_reload(body: &[u8], reloader: &Reloader) -> (u16, String, Headers) {
 
 fn version_header(version: u64) -> Headers {
     vec![("x-model-version", version.to_string())]
+}
+
+/// `x-model-version` plus a `server-timing` breakdown of the job's time
+/// in the batcher: `queue` (submit → popped) and `predict` (its
+/// microbatch's predict pass), in milliseconds with microsecond digits.
+fn scored_headers(scored: &Scored) -> Headers {
+    let ms = |us: u64| format!("{}.{:03}", us / 1000, us % 1000);
+    vec![
+        ("x-model-version", scored.version.to_string()),
+        (
+            "server-timing",
+            format!(
+                "queue;dur={}, predict;dur={}",
+                ms(scored.queue_wait_us),
+                ms(scored.predict_us)
+            ),
+        ),
+    ]
 }
 
 fn rejected_response(r: Rejected) -> (u16, String, Headers) {

@@ -156,7 +156,6 @@ mod tests {
         let batcher = Batcher::new(
             1, // one pair per batch: batch index == request index
             1024,
-            Duration::from_millis(1),
             ServeFaultPlan::none().panic_batcher_at(0),
             CircuitBreaker::new(100, Duration::from_secs(60), Duration::from_millis(50)),
         );
@@ -187,7 +186,6 @@ mod tests {
         let batcher = Batcher::new(
             1,
             1024,
-            Duration::from_millis(1),
             ServeFaultPlan::none()
                 .panic_batcher_at(0)
                 .panic_batcher_at(1),

@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Programmatic worker-count override; 0 means "not set".
@@ -41,6 +41,10 @@ pub fn reset_threads() {
 /// The worker count parallel calls will use right now: the
 /// [`set_threads`] override if present, else `AUTOML_EM_THREADS` (parsed,
 /// ignored unless ≥ 1), else [`std::thread::available_parallelism`].
+///
+/// The override and the variable are read on every call; the hardware
+/// value is read once per process, because `available_parallelism`
+/// reads cgroup files on Linux and this runs on every parallel call.
 pub fn threads() -> usize {
     let n = OVERRIDE.load(Ordering::Relaxed);
     if n >= 1 {
@@ -53,9 +57,12 @@ pub fn threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Apply `f` to every index in `0..n` and return the results **in index
@@ -421,5 +428,25 @@ mod tests {
         assert_eq!(threads(), 3);
         reset_threads();
         assert!(threads() >= 1);
+    }
+
+    #[test]
+    fn cached_hardware_value_still_yields_to_override_and_env() {
+        let _g = guard();
+        let hardware = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        let env = std::env::var("AUTOML_EM_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1);
+        let expected = env.unwrap_or(hardware);
+        // the first call fills the cache; later calls must not freeze it
+        // over the override or the environment
+        assert_eq!(threads(), expected);
+        set_threads(3);
+        assert_eq!(threads(), 3);
+        reset_threads();
+        assert_eq!(threads(), expected);
     }
 }

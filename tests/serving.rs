@@ -15,7 +15,7 @@ use obs::json::{self, Json};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes tests that flip the global `par` thread override.
 fn guard() -> MutexGuard<'static, ()> {
@@ -48,7 +48,6 @@ fn fixture() -> &'static ModelHost {
 fn test_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger_us: 500,
         ..ServeConfig::default()
     }
 }
@@ -72,7 +71,12 @@ fn roundtrip(addr: SocketAddr, raw: &[u8]) -> String {
 }
 
 fn read_one_response(stream: &mut TcpStream) -> String {
-    let mut buf = Vec::new();
+    read_next_response(stream, &mut Vec::new())
+}
+
+/// Read the next full response off `stream`. Bytes past it stay in `buf`
+/// for the following call: pipelined responses can arrive in one read.
+fn read_next_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> String {
     let mut chunk = [0u8; 4096];
     loop {
         if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
@@ -85,12 +89,15 @@ fn read_one_response(stream: &mut TcpStream) -> String {
                         .then(|| v.trim().parse().ok())?
                 })
                 .unwrap_or(0);
-            if buf.len() >= head_end + 4 + need {
-                return String::from_utf8_lossy(&buf[..head_end + 4 + need]).to_string();
+            let end = head_end + 4 + need;
+            if buf.len() >= end {
+                let rsp = String::from_utf8_lossy(&buf[..end]).to_string();
+                buf.drain(..end);
+                return rsp;
             }
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return String::from_utf8_lossy(&buf).to_string(),
+            Ok(0) => return String::from_utf8_lossy(&std::mem::take(buf)).to_string(),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) => panic!("read failed: {e}"),
         }
@@ -255,8 +262,9 @@ fn pipelined_requests_answer_in_order() {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.write_all(&raw).unwrap();
     let expect = fixture().match_proba(&pairs[..2]);
+    let mut buf = Vec::new();
     for expected in expect.iter().take(2) {
-        let rsp = read_one_response(&mut stream);
+        let rsp = read_next_response(&mut stream, &mut buf);
         assert!(rsp.starts_with("HTTP/1.1 200"), "{rsp}");
         let p = json::parse(body_of(&rsp))
             .unwrap()
@@ -334,6 +342,66 @@ fn served_probs_bit_identical_to_offline_at_1_and_4_threads() {
         par::reset_threads();
         assert!(handle.shutdown());
     }
+}
+
+// ------------------------------------------------------- stage breakdown
+
+/// One stage's duration from a `server-timing` header value such as
+/// `queue;dur=0.012, predict;dur=0.085`, in whole microseconds.
+fn server_timing_us(header: &str, stage: &str) -> u64 {
+    let ms = header
+        .split(',')
+        .find_map(|part| {
+            let (name, dur) = part.trim().split_once(";dur=")?;
+            (name == stage).then_some(dur)
+        })
+        .unwrap_or_else(|| panic!("no {stage} in server-timing: {header}"));
+    let (whole, micros) = ms.split_once('.').expect("ms with µs digits");
+    whole.parse::<u64>().unwrap() * 1000 + micros.parse::<u64>().unwrap()
+}
+
+/// Every scored response explains itself: `server-timing` carries the
+/// request's own queue wait and its microbatch's predict time. For
+/// sequential `/match` requests the two fit inside the latency the
+/// client measured for that request — parsing and writing make up the
+/// rest — and `/metrics` lists both stage histograms.
+#[test]
+fn match_stage_times_fit_inside_each_request_latency() {
+    let _g = guard();
+    let host = fixture();
+    let schema = host.schema();
+    let (handle, addr) = start_server();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    for (i, pair) in host.dataset().split(Split::Test).iter().take(8).enumerate() {
+        let request = post("/match", &pair_body(schema, pair));
+        let sent = Instant::now();
+        stream.write_all(&request).unwrap();
+        let rsp = read_one_response(&mut stream);
+        let latency_us = sent.elapsed().as_micros() as u64;
+        assert!(rsp.starts_with("HTTP/1.1 200"), "{rsp}");
+        let timing = header_of(&rsp, "server-timing").expect("server-timing header");
+        let queue = server_timing_us(&timing, "queue");
+        let predict = server_timing_us(&timing, "predict");
+        assert!(
+            predict > 0,
+            "request {i}: predict pass took no time? {timing}"
+        );
+        assert!(
+            queue + predict <= latency_us,
+            "request {i}: queue {queue} + predict {predict} > latency {latency_us} µs"
+        );
+    }
+    let rsp = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n");
+    let metrics = json::parse(body_of(&rsp)).expect("metrics must be JSON");
+    for name in ["serve.queue_wait_us", "serve.predict_us"] {
+        let count = metrics
+            .get(name)
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("/metrics lacks {name}"));
+        assert!(count >= 8, "{name} count {count}");
+    }
+    assert!(handle.shutdown());
 }
 
 // ----------------------------------------------------------------- drain

@@ -489,7 +489,6 @@ fn drifting_stream_triggers_research_and_zero_drop_promotion_under_load() {
         fixture_arc(),
         &ServeConfig {
             addr: "127.0.0.1:0".into(),
-            linger_us: 500,
             ..ServeConfig::default()
         },
     )
