@@ -28,7 +28,9 @@
 //! scenario (a pure function of its config — the file is committable)
 //! and exits. `--check` re-parses the JSON it wrote and exits non-zero
 //! on any drop, mismatch, missed promotion or non-finite number — the
-//! CI `stream-smoke` job gate.
+//! CI `stream-smoke` job gate. On the committed fixture it also pins the
+//! cold replay's state digest and candidate count, so the blocking
+//! index's canonical dump is a byte contract, not just self-consistent.
 
 use em_core::model::{load_model, ModelSpec};
 use em_data::{BlockerConfig, RecordPair, Schema, Side, Split};
@@ -61,6 +63,13 @@ const FIXTURE_SCENARIO: ScenarioConfig = ScenarioConfig {
     noise: 0.2,
 };
 
+/// Where the committed fixture ledger lives, relative to the repo root.
+const FIXTURE_PATH: &str = "tests/fixtures/stream_ledger.jsonl";
+/// State digest of a cold replay of the committed fixture.
+const FIXTURE_DIGEST: &str = "55c5d25686915754";
+/// Blocking candidates after a cold replay of the committed fixture.
+const FIXTURE_CANDIDATES: f64 = 629.0;
+
 /// Id offset for live events injected on top of the replayed fixture,
 /// keeping the two id spaces disjoint.
 const LIVE_ID_BASE: u64 = 1_000_000;
@@ -76,7 +85,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut a = Args {
         out: "results".to_owned(),
-        fixture: "tests/fixtures/stream_ledger.jsonl".to_owned(),
+        fixture: FIXTURE_PATH.to_owned(),
         events: 2_000,
         check: false,
         write_fixture: false,
@@ -657,7 +666,9 @@ fn write_report(out: &Path, rows: &[String]) -> PathBuf {
 }
 
 /// `--check`: re-parse the report and fail on any violated invariant.
-fn check_report(path: &Path) -> Result<(), String> {
+/// `committed_fixture` pins the replay row to the committed ledger's
+/// digest and candidate count.
+fn check_report(path: &Path, committed_fixture: bool) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let root = json::parse(&text).map_err(|_| "report is not valid json".to_owned())?;
     let rows: Vec<&Json> = match root.get("rows") {
@@ -681,6 +692,21 @@ fn check_report(path: &Path) -> Result<(), String> {
             "replay_cold_start" | "live_ingest" => {
                 if f(row, "events")? <= 0.0 || f(row, "events_per_sec")? <= 0.0 {
                     return Err(format!("{phase}: no throughput recorded"));
+                }
+                if phase == "replay_cold_start" && committed_fixture {
+                    let digest = row.get("digest").and_then(Json::as_str);
+                    if digest != Some(FIXTURE_DIGEST) {
+                        return Err(format!(
+                            "fixture replay digest {digest:?}, expected {FIXTURE_DIGEST}"
+                        ));
+                    }
+                    let candidates = f(row, "candidates")?;
+                    if candidates != FIXTURE_CANDIDATES {
+                        return Err(format!(
+                            "fixture replay has {candidates} candidates, \
+                             expected {FIXTURE_CANDIDATES}"
+                        ));
+                    }
                 }
             }
             "cache_invalidation" => {
@@ -746,7 +772,7 @@ fn main() {
     println!("wrote {}", path.display());
 
     if args.check {
-        match check_report(&path) {
+        match check_report(&path, args.fixture == FIXTURE_PATH) {
             Ok(()) => println!("stream-smoke: all invariants hold"),
             Err(e) => {
                 eprintln!("stream-smoke FAILED: {e}");

@@ -12,8 +12,11 @@
 
 use crate::record::Entity;
 use crate::schema::Schema;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Mutex, PoisonError};
 use text::tokenize::words;
 
 /// Configuration of the token blocker.
@@ -221,9 +224,16 @@ struct TokenInfo {
 ///   records come and go) finds exactly the tokens in the flipped df
 ///   range instead of scanning the vocabulary;
 /// * `overlap` — the number of **distinct active shared tokens** per
-///   `(left, right)` id pair, updated by deltas. A pair is a candidate
-///   iff its count reaches `min_overlap`; entries at zero are removed,
-///   so iteration order over the `BTreeMap` *is* candidate order.
+///   `(left, right)` id pair, updated by deltas in a hashed map. A pair
+///   is a candidate iff its count reaches `min_overlap`; entries at zero
+///   are removed. The map is unordered: [`candidates`](Self::candidates)
+///   and [`canonical_dump`](Self::canonical_dump) sort on demand, and
+///   [`candidate_count`](Self::candidate_count) is a maintained counter.
+///
+/// From the first [`mark_window`](Self::mark_window) on, the index also
+/// keeps the set of pairs whose candidate status flipped since the last
+/// mark — the candidate churn the drift monitor reads, in O(flips)
+/// instead of O(candidates).
 pub struct IncrementalBlocker {
     config: BlockerConfig,
     width: usize,
@@ -231,20 +241,132 @@ pub struct IncrementalBlocker {
     right_tokens: BTreeMap<u64, Vec<String>>,
     tokens: HashMap<String, TokenInfo>,
     by_df: BTreeMap<usize, BTreeSet<String>>,
-    overlap: BTreeMap<(u64, u64), usize>,
+    overlap: Overlap,
+}
+
+/// A multiplicative hasher for the overlap map's `(u64, u64)` id pairs:
+/// per word a rotate, xor and multiply (the Fx scheme), then a
+/// fold-and-multiply finish so the high product bits, where the entropy
+/// sits, reach the low bits the table indexes with. std's SipHash is no
+/// faster than the ordered tree this map replaced. Record ids come from
+/// the caller, so each map keys its hasher with a random seed: which ids
+/// collide cannot be worked out ahead of time.
+#[derive(Clone, Copy)]
+struct PairHasher(u64);
+
+const PAIR_HASH_K: u64 = 0x517c_c1b7_2722_0a95;
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(PAIR_HASH_K);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(PAIR_HASH_K);
+        h ^ (h >> 29)
+    }
+}
+
+/// Builds [`PairHasher`]s from one random seed per map.
+#[derive(Clone)]
+struct PairHashState(u64);
+
+impl Default for PairHashState {
+    fn default() -> Self {
+        Self(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for PairHashState {
+    type Hasher = PairHasher;
+
+    fn build_hasher(&self) -> PairHasher {
+        PairHasher(self.0)
+    }
+}
+
+type PairMap<V> = HashMap<(u64, u64), V, PairHashState>;
+type PairSet = HashSet<(u64, u64), PairHashState>;
+
+/// The overlap cells and what is derived from them: the live candidate
+/// count and, once a churn window is open, the flipped-pair set.
+struct Overlap {
+    cells: PairMap<usize>,
+    /// Count at which a pair is a candidate (`max(min_overlap, 1)`: a
+    /// cell exists only while its count is at least 1).
+    threshold: usize,
+    candidates: usize,
+    /// Pairs whose candidate status differs from the last mark; `None`
+    /// until the first mark. A pair that flips twice leaves the set, so
+    /// its length is the exact symmetric difference. The mutex lets the
+    /// drift monitor close a window through `&IncrementalBlocker`; the
+    /// `&mut` mutation path reaches it with `get_mut`, never locking.
+    /// Each update is one whole-value step, so a poisoned lock still
+    /// guards a valid set and is recovered.
+    flips: Mutex<Option<PairSet>>,
+}
+
+impl Overlap {
+    fn new(min_overlap: usize) -> Self {
+        Self {
+            cells: PairMap::default(),
+            threshold: min_overlap.max(1),
+            candidates: 0,
+            flips: Mutex::new(None),
+        }
+    }
+
+    fn inc(&mut self, l: u64, r: u64) {
+        let count = self.cells.entry((l, r)).or_insert(0);
+        *count += 1;
+        if *count == self.threshold {
+            self.candidates += 1;
+            self.flip(l, r);
+        }
+    }
+
+    fn dec(&mut self, l: u64, r: u64) {
+        let Some(count) = self.cells.get_mut(&(l, r)) else {
+            unreachable!("overlap decrement without a prior increment");
+        };
+        let drops_out = *count == self.threshold;
+        *count -= 1;
+        if *count == 0 {
+            self.cells.remove(&(l, r));
+        }
+        if drops_out {
+            self.candidates -= 1;
+            self.flip(l, r);
+        }
+    }
+
+    fn flip(&mut self, l: u64, r: u64) {
+        let flips = self.flips.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(set) = flips {
+            if !set.remove(&(l, r)) {
+                set.insert((l, r));
+            }
+        }
+    }
 }
 
 impl IncrementalBlocker {
     /// An empty index over tables sharing `schema`.
     pub fn new(schema: &Schema, config: BlockerConfig) -> Self {
         Self {
-            config,
             width: schema.len(),
             left_tokens: BTreeMap::new(),
             right_tokens: BTreeMap::new(),
             tokens: HashMap::new(),
             by_df: BTreeMap::new(),
-            overlap: BTreeMap::new(),
+            overlap: Overlap::new(config.min_overlap),
+            config,
         }
     }
 
@@ -314,20 +436,6 @@ impl IncrementalBlocker {
         df >= 1 && df <= cutoff
     }
 
-    fn inc_overlap(overlap: &mut BTreeMap<(u64, u64), usize>, l: u64, r: u64) {
-        *overlap.entry((l, r)).or_insert(0) += 1;
-    }
-
-    fn dec_overlap(overlap: &mut BTreeMap<(u64, u64), usize>, l: u64, r: u64) {
-        match overlap.get_mut(&(l, r)) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                overlap.remove(&(l, r));
-            }
-            None => unreachable!("overlap decrement without a prior increment"),
-        }
-    }
-
     /// One mutation: replace (or drop, `new_tokens = None`) the token set
     /// of `id` on `side`, then restore every invariant.
     fn apply(&mut self, side: Side, id: u64, new_tokens: Option<Vec<String>>) {
@@ -368,7 +476,7 @@ impl IncrementalBlocker {
                     info.left.remove(&id);
                     if info.active {
                         for &r in &info.right {
-                            Self::dec_overlap(&mut self.overlap, id, r);
+                            self.overlap.dec(id, r);
                         }
                     }
                 }
@@ -376,7 +484,7 @@ impl IncrementalBlocker {
                     info.right.remove(&id);
                     if info.active {
                         for &l in &info.left {
-                            Self::dec_overlap(&mut self.overlap, l, id);
+                            self.overlap.dec(l, id);
                         }
                     }
                     Self::move_df(&mut self.by_df, t, info.df, info.df - 1);
@@ -391,7 +499,7 @@ impl IncrementalBlocker {
                     info.left.insert(id);
                     if info.active {
                         for &r in &info.right {
-                            Self::inc_overlap(&mut self.overlap, id, r);
+                            self.overlap.inc(id, r);
                         }
                     }
                 }
@@ -399,7 +507,7 @@ impl IncrementalBlocker {
                     info.right.insert(id);
                     if info.active {
                         for &l in &info.left {
-                            Self::inc_overlap(&mut self.overlap, l, id);
+                            self.overlap.inc(l, id);
                         }
                     }
                     Self::move_df(&mut self.by_df, t, info.df, info.df + 1);
@@ -431,9 +539,9 @@ impl IncrementalBlocker {
                 for &l in &info.left {
                     for &r in &info.right {
                         if should {
-                            Self::inc_overlap(&mut self.overlap, l, r);
+                            self.overlap.inc(l, r);
                         } else {
-                            Self::dec_overlap(&mut self.overlap, l, r);
+                            self.overlap.dec(l, r);
                         }
                     }
                 }
@@ -468,19 +576,35 @@ impl IncrementalBlocker {
     /// the same order [`token_blocking`] yields after mapping row
     /// indices to ids in ascending-id order.
     pub fn candidates(&self) -> Vec<CandidateIdPair> {
-        self.overlap
+        let mut pairs: Vec<CandidateIdPair> = self
+            .overlap
+            .cells
             .iter()
-            .filter(|(_, &count)| count >= self.config.min_overlap)
+            .filter(|(_, &count)| count >= self.overlap.threshold)
             .map(|(&(left, right), _)| CandidateIdPair { left, right })
-            .collect()
+            .collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Number of current candidate pairs.
     pub fn candidate_count(&self) -> usize {
+        self.overlap.candidates
+    }
+
+    /// Close a churn window: return how many pairs changed candidate
+    /// status since the previous mark — `|S_now Δ S_prev|` — and open the
+    /// next window. The first mark returns `None`: before it nothing is
+    /// tracked, so a cold replay pays nothing for churn. O(1): the closed
+    /// window's set is dropped whole. One reader (the drift monitor) owns
+    /// the marks.
+    pub fn mark_window(&self) -> Option<usize> {
         self.overlap
-            .values()
-            .filter(|&&c| c >= self.config.min_overlap)
-            .count()
+            .flips
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .replace(PairSet::default())
+            .map(|closed| closed.len())
     }
 
     /// A canonical, deterministic dump of the entire index state: live
@@ -496,7 +620,9 @@ impl IncrementalBlocker {
         for (id, toks) in &self.right_tokens {
             let _ = writeln!(out, "R {id} {}", toks.join("\u{1f}"));
         }
-        for ((l, r), count) in &self.overlap {
+        let mut cells: Vec<(&(u64, u64), &usize)> = self.overlap.cells.iter().collect();
+        cells.sort_unstable();
+        for ((l, r), count) in cells {
             let _ = writeln!(out, "O {l} {r} {count}");
         }
         out

@@ -7,7 +7,10 @@
 //! * **Candidate churn** — the symmetric difference between the blocking
 //!   index's candidate set now and at the last window boundary, as a
 //!   fraction of the larger set. Records drifting to new vocabulary
-//!   rewire the candidate graph long before F1 visibly decays.
+//!   rewire the candidate graph long before F1 visibly decays. The
+//!   blocker counts the pairs whose candidate status flipped since the
+//!   last boundary ([`IncrementalBlocker::mark_window`]), so a window
+//!   close costs O(1), not a copy of the candidate set.
 //! * **Score shift** — total-variation distance between the normalized
 //!   histogram of match scores observed in this window and the baseline
 //!   window's. A matcher drifting off its training distribution stops
@@ -18,8 +21,7 @@
 //! (`crate::continuous`). The monitor then re-baselines so the same
 //! drift is not reported twice.
 
-use em_data::{CandidateIdPair, IncrementalBlocker};
-use std::collections::BTreeSet;
+use em_data::IncrementalBlocker;
 
 /// Histogram bins for match scores in `[0, 1]`.
 const SCORE_BINS: usize = 10;
@@ -60,10 +62,12 @@ pub struct DriftReport {
     pub at_event: u64,
 }
 
-/// The sliding-window drift monitor.
+/// The sliding-window drift monitor. One monitor observes one blocker:
+/// its window closes are the blocker's churn marks.
 pub struct DriftMonitor {
     config: DriftConfig,
-    baseline_candidates: BTreeSet<CandidateIdPair>,
+    /// Candidate count at the last window close.
+    baseline_candidates: usize,
     baseline_hist: Option<[f64; SCORE_BINS]>,
     window_scores: Vec<f64>,
     window_events: usize,
@@ -77,7 +81,7 @@ impl DriftMonitor {
     pub fn new(config: DriftConfig) -> Self {
         Self {
             config,
-            baseline_candidates: BTreeSet::new(),
+            baseline_candidates: 0,
             baseline_hist: None,
             window_scores: Vec::new(),
             window_events: 0,
@@ -116,11 +120,15 @@ impl DriftMonitor {
         self.window_events = 0;
         obs::counter("stream.drift.windows").inc();
 
-        let current: BTreeSet<CandidateIdPair> = blocker.candidates().into_iter().collect();
-        let sym_diff = current
-            .symmetric_difference(&self.baseline_candidates)
-            .count();
-        let denom = current.len().max(self.baseline_candidates.len()).max(1);
+        let current = blocker.candidate_count();
+        let flips = blocker.mark_window();
+        // before the first close the baseline is the empty set, so every
+        // live candidate counts as churn
+        let sym_diff = match flips {
+            Some(flips) if self.primed => flips,
+            _ => current,
+        };
+        let denom = current.max(self.baseline_candidates).max(1);
         let churn = sym_diff as f64 / denom as f64;
 
         let hist = Self::histogram(&self.window_scores);

@@ -242,39 +242,28 @@ impl RecordLedger {
     /// Open the ledger at `path` for append, replaying every good event
     /// (the cold-start path). A missing file is created; a torn tail is
     /// truncated (reported in [`LedgerReplay::truncated_bytes`]); a
-    /// header bound to a different schema is refused.
+    /// header bound to a different schema is refused. A file whose
+    /// header never became complete (a crash inside [`create`](Self::create))
+    /// holds no event and is started over with a fresh header.
     pub fn open(path: &Path, schema: &Schema) -> Result<(RecordLedger, LedgerReplay), LedgerError> {
-        if !path.exists() {
-            let ledger = Self::create(path, schema)?;
-            return Ok((
-                ledger,
-                LedgerReplay {
-                    events: Vec::new(),
-                    truncated_bytes: 0,
-                },
-            ));
-        }
-        let replay = Self::replay(path, schema)?;
-        let bytes = std::fs::read(path)?;
-        let lines = obs::wal::scan_jsonl(&bytes);
-        // recompute good_end with record-level semantics (stop at the
-        // first structurally-valid-but-foreign line, like the search WAL)
-        let mut good_end = 0usize;
-        let width = schema.len();
-        for (i, line) in lines.iter().enumerate() {
-            if i > 0 && RecordEvent::from_json(&line.value, width).is_none() {
-                break;
-            }
-            good_end = line.end;
-        }
-        let truncated = (bytes.len() - good_end) as u64;
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let replay = Self::scan(&bytes, schema)?;
+        let truncated = replay.truncated_bytes;
+        let good_end = bytes.len() as u64 - truncated;
         if truncated > 0 {
             eprintln!(
                 "warning: record ledger {} had a torn tail; truncating {truncated} byte(s) \
                  back to the last complete event",
                 path.display()
             );
-            obs::wal::truncate_to(path, good_end as u64)?;
+            obs::wal::truncate_to(path, good_end)?;
+        }
+        if good_end == 0 {
+            return Ok((Self::create(path, schema)?, replay));
         }
         let file = std::fs::OpenOptions::new().append(true).open(path)?;
         obs::counter("stream.ledger.replays").inc();
@@ -292,18 +281,21 @@ impl RecordLedger {
                 path: path.to_path_buf(),
                 pending: 0,
             },
-            LedgerReplay {
-                events: replay.events,
-                truncated_bytes: truncated,
-            },
+            replay,
         ))
     }
 
     /// Read-only replay of the ledger at `path`: header verification plus
     /// every good event, without touching the file.
     pub fn replay(path: &Path, schema: &Schema) -> Result<LedgerReplay, LedgerError> {
-        let bytes = std::fs::read(path)?;
-        let lines = obs::wal::scan_jsonl(&bytes);
+        Self::scan(&std::fs::read(path)?, schema)
+    }
+
+    /// Header verification plus every good event of the ledger `bytes`.
+    /// The good prefix ends at the first torn or foreign line; what
+    /// follows is reported in [`LedgerReplay::truncated_bytes`].
+    fn scan(bytes: &[u8], schema: &Schema) -> Result<LedgerReplay, LedgerError> {
+        let lines = obs::wal::scan_jsonl(bytes);
         let expected = schema_fingerprint(schema);
         let width = schema.len();
         let mut events = Vec::new();
@@ -459,6 +451,22 @@ mod tests {
         drop(ledger);
         let replay = RecordLedger::replay(&path, &schema()).unwrap();
         assert_eq!(replay.events.len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_starts_over_when_the_header_was_torn() {
+        let path = tmp("tornheader");
+        std::fs::write(&path, b"{\"v\":1,\"kind\":\"rec").unwrap();
+        let (mut ledger, replay) = RecordLedger::open(&path, &schema()).unwrap();
+        assert!(replay.events.is_empty());
+        assert!(replay.truncated_bytes > 0);
+        ledger.append(&ev_insert(Side::Left, 1, "a")).unwrap();
+        ledger.sync().unwrap();
+        drop(ledger);
+        // the appended event sits behind a fresh header, so it replays
+        let (_, replay) = RecordLedger::open(&path, &schema()).unwrap();
+        assert_eq!(replay.events, vec![ev_insert(Side::Left, 1, "a")]);
         std::fs::remove_file(&path).ok();
     }
 

@@ -321,4 +321,42 @@ mod tests {
         c.apply(&evs[1], None).unwrap();
         assert_ne!(a.digest(), c.digest());
     }
+
+    #[test]
+    fn cold_replay_leaves_the_churn_toggle_set_empty() {
+        let evs = vec![
+            ins(Side::Left, 1, "golden dragon", "boston"),
+            ins(Side::Right, 2, "golden dragon cafe", "boston"),
+            ins(Side::Right, 3, "red lantern", "chicago"),
+            RecordEvent::Update {
+                side: Side::Left,
+                id: 1,
+                entity: ent("red lantern", "chicago"),
+            },
+            RecordEvent::Delete {
+                side: Side::Right,
+                id: 2,
+            },
+        ];
+        let mut s = state();
+        for ev in &evs {
+            s.apply(ev, None).unwrap();
+        }
+        assert!(s.blocker().candidate_count() > 0);
+        // nothing marked a churn window yet: the fold tracked no flips,
+        // and the first mark opens tracking
+        assert_eq!(s.blocker().mark_window(), None);
+        assert_eq!(s.blocker().mark_window(), Some(0));
+        s.apply(
+            &RecordEvent::Delete {
+                side: Side::Right,
+                id: 3,
+            },
+            None,
+        )
+        .unwrap();
+        assert_eq!(s.blocker().candidate_count(), 0);
+        assert_eq!(s.blocker().mark_window(), Some(1));
+        assert_eq!(s.blocker().mark_window(), Some(0));
+    }
 }

@@ -206,6 +206,7 @@ pub fn quantile_from_buckets(buckets: &[(f64, u64)], q: f64) -> f64 {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
@@ -217,13 +218,20 @@ fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
+/// Get-or-register the metric named `name`: a lookup by `&str` under
+/// the registry lock, allocating the owned name (and the metric) only on
+/// first registration.
+fn lookup(name: &str, make: impl FnOnce() -> Metric) -> Metric {
+    let mut reg = registry().lock().expect("metrics registry");
+    if let Some(&m) = reg.get(name) {
+        return m;
+    }
+    *reg.entry(name.to_owned()).or_insert_with(make)
+}
+
 /// Get-or-register the counter named `name`.
 pub fn counter(name: &str) -> &'static Counter {
-    let mut reg = registry().lock().expect("metrics registry");
-    match reg
-        .entry(name.to_owned())
-        .or_insert_with(|| Metric::Counter(Box::leak(Box::default())))
-    {
+    match lookup(name, || Metric::Counter(Box::leak(Box::default()))) {
         Metric::Counter(c) => c,
         _ => panic!("metric {name} already registered with a different type"),
     }
@@ -231,11 +239,7 @@ pub fn counter(name: &str) -> &'static Counter {
 
 /// Get-or-register the gauge named `name`.
 pub fn gauge(name: &str) -> &'static Gauge {
-    let mut reg = registry().lock().expect("metrics registry");
-    match reg
-        .entry(name.to_owned())
-        .or_insert_with(|| Metric::Gauge(Box::leak(Box::default())))
-    {
+    match lookup(name, || Metric::Gauge(Box::leak(Box::default()))) {
         Metric::Gauge(g) => g,
         _ => panic!("metric {name} already registered with a different type"),
     }
@@ -244,11 +248,9 @@ pub fn gauge(name: &str) -> &'static Gauge {
 /// Get-or-register the histogram named `name`. The bounds of the first
 /// registration win; later calls may pass any bounds.
 pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
-    let mut reg = registry().lock().expect("metrics registry");
-    match reg
-        .entry(name.to_owned())
-        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new(bounds)))))
-    {
+    match lookup(name, || {
+        Metric::Histogram(Box::leak(Box::new(Histogram::new(bounds))))
+    }) {
         Metric::Histogram(h) => h,
         _ => panic!("metric {name} already registered with a different type"),
     }
@@ -382,9 +384,21 @@ mod tests {
 
     #[test]
     fn same_name_returns_same_handle() {
-        let a = counter("t.m.same") as *const Counter;
-        let b = counter("t.m.same") as *const Counter;
-        assert_eq!(a, b);
+        let c: &'static Counter = counter("t.m.same.c");
+        let g: &'static Gauge = gauge("t.m.same.g");
+        let h: &'static Histogram = histogram("t.m.same.h", &[1.0]);
+        c.add(4);
+        g.set(0.5);
+        h.observe(2.0);
+        for _ in 0..3 {
+            assert!(std::ptr::eq(c, counter("t.m.same.c")));
+            assert!(std::ptr::eq(g, gauge("t.m.same.g")));
+            // later bounds are ignored: the first registration wins
+            assert!(std::ptr::eq(h, histogram("t.m.same.h", &[5.0, 9.0])));
+        }
+        assert_eq!(counter("t.m.same.c").get(), 4);
+        assert_eq!(gauge("t.m.same.g").get(), 0.5);
+        assert_eq!(histogram("t.m.same.h", &[]).buckets().len(), 2);
     }
 
     #[test]

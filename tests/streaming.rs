@@ -3,6 +3,9 @@
 //!
 //! * Incremental blocking tracks a from-scratch rebuild — same candidate
 //!   set, same order — across random insert/update/delete interleavings.
+//! * The drift monitor's incremental candidate churn equals the symmetric
+//!   difference of two candidate snapshots at every window close, and its
+//!   reports match a monitor that diffs whole sets.
 //! * An updated record can never serve a stale embedding vector, at 1
 //!   and at 4 reader threads, and every invalidation is accounted.
 //! * A cold start replaying the record ledger reconstructs bit-identical
@@ -17,15 +20,16 @@
 //!   mixing, monotonically advancing `x-model-version`.
 
 use em_core::model::{load_model, ModelHost, ModelSpec};
-use em_data::{token_blocking, BlockerConfig, RecordPair, Schema, Side, Split};
+use em_data::{token_blocking, BlockerConfig, Entity, RecordPair, Schema, Side, Split};
 use em_serve::{serve, ServeConfig};
 use em_stream::{
-    generate_events, record_key, ContinuousConfig, ContinuousEm, DriftConfig, LedgerError,
-    RecordEvent, RecordLedger, ScenarioConfig, StreamState,
+    generate_events, record_key, ContinuousConfig, ContinuousEm, DriftConfig, DriftMonitor,
+    DriftReport, LedgerError, RecordEvent, RecordLedger, ScenarioConfig, StreamState,
 };
 use embed::cache::EmbeddingCache;
 use embed::HashingEmbedder;
 use obs::json::{self, Json};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -120,6 +124,330 @@ fn incremental_blocking_matches_batch_rebuild_across_interleavings() {
             }
         }
     }
+}
+
+// ----------------------------------------------------- drift churn
+
+/// The drift monitor as first written: it keeps the whole candidate set
+/// of the last window close and diffs it against the current one. The
+/// incremental monitor must report exactly what this one reports.
+struct SetDiffMonitor {
+    config: DriftConfig,
+    baseline: BTreeSet<(u64, u64)>,
+    baseline_hist: Option<[f64; 10]>,
+    scores: Vec<f64>,
+    window: usize,
+    total: u64,
+    epochs: u64,
+    primed: bool,
+}
+
+impl SetDiffMonitor {
+    fn new(config: DriftConfig) -> Self {
+        Self {
+            config,
+            baseline: BTreeSet::new(),
+            baseline_hist: None,
+            scores: Vec::new(),
+            window: 0,
+            total: 0,
+            epochs: 0,
+            primed: false,
+        }
+    }
+
+    fn histogram(scores: &[f64]) -> Option<[f64; 10]> {
+        if scores.is_empty() {
+            return None;
+        }
+        let mut hist = [0.0f64; 10];
+        for &s in scores {
+            hist[((s * 10.0) as usize).min(9)] += 1.0;
+        }
+        for h in &mut hist {
+            *h /= scores.len() as f64;
+        }
+        Some(hist)
+    }
+
+    fn observe(&mut self, now: &BTreeSet<(u64, u64)>) -> Option<DriftReport> {
+        self.window += 1;
+        self.total += 1;
+        if self.window < self.config.window_events {
+            return None;
+        }
+        self.window = 0;
+        let sym_diff = now.symmetric_difference(&self.baseline).count();
+        let denom = now.len().max(self.baseline.len()).max(1);
+        let churn = sym_diff as f64 / denom as f64;
+        let hist = Self::histogram(&self.scores);
+        let score_shift = match (&self.baseline_hist, &hist) {
+            (Some(base), Some(now)) => {
+                0.5 * base
+                    .iter()
+                    .zip(now.iter())
+                    .map(|(a, b)| (a - b).abs())
+                    .sum::<f64>()
+            }
+            _ => 0.0,
+        };
+        let fired = self.primed
+            && (churn >= self.config.churn_threshold
+                || score_shift >= self.config.score_shift_threshold);
+        self.primed = true;
+        self.baseline = now.clone();
+        if hist.is_some() {
+            self.baseline_hist = hist;
+        }
+        self.scores.clear();
+        if !fired {
+            return None;
+        }
+        self.epochs += 1;
+        Some(DriftReport {
+            epoch: self.epochs,
+            churn,
+            score_shift,
+            at_event: self.total,
+        })
+    }
+}
+
+/// A random insert/update/delete interleaving over a small vocabulary,
+/// so pairs enter and leave the candidate set often and stop-word
+/// cutoffs move. Update storms rewrite a record to one half of a
+/// partner's tokens and then to the other half: with both halves at or
+/// above `min_overlap`, the pair leaves and re-enters the candidate set
+/// within the second event.
+fn vocabulary_stream(seed: u64, width: usize, events: usize) -> Vec<RecordEvent> {
+    let mut rng = linalg::Rng::new(seed);
+    let entity = |words: &[String]| {
+        let mut vals = vec![Some(words.join(" "))];
+        vals.resize(width, None);
+        Entity::new(vals)
+    };
+    let mut live: [BTreeMap<u64, Vec<String>>; 2] = Default::default();
+    let mut next_id = 1u64;
+    let mut out = Vec::new();
+    while out.len() < events {
+        let s = rng.below(2);
+        let side = [Side::Left, Side::Right][s];
+        let ids: Vec<u64> = live[s].keys().copied().collect();
+        let pick = |rng: &mut linalg::Rng| ids[rng.below(ids.len())];
+        let mut words: Vec<String> = (0..1 + rng.below(6))
+            .map(|_| format!("w{}", rng.below(40)))
+            .collect();
+        words.sort();
+        words.dedup();
+        let op = rng.f64();
+        if op < 0.15 && !ids.is_empty() {
+            let id = pick(&mut rng);
+            live[s].remove(&id);
+            out.push(RecordEvent::Delete { side, id });
+        } else if op < 0.4 && !ids.is_empty() && !live[1 - s].is_empty() {
+            let id = pick(&mut rng);
+            let partners: Vec<&Vec<String>> = live[1 - s].values().collect();
+            let partner = partners[rng.below(partners.len())].clone();
+            let (a, b) = partner.split_at(partner.len() / 2);
+            for half in [a, b].into_iter().filter(|h| !h.is_empty()) {
+                live[s].insert(id, half.to_vec());
+                out.push(RecordEvent::Update {
+                    side,
+                    id,
+                    entity: entity(half),
+                });
+            }
+        } else if op < 0.6 && !ids.is_empty() {
+            let id = pick(&mut rng);
+            out.push(RecordEvent::Update {
+                side,
+                id,
+                entity: entity(&words),
+            });
+            live[s].insert(id, words);
+        } else {
+            out.push(RecordEvent::Insert {
+                side,
+                id: next_id,
+                entity: entity(&words),
+            });
+            live[s].insert(next_id, words);
+            next_id += 1;
+        }
+    }
+    out
+}
+
+/// An update that moves a pair's shared tokens wholesale makes the pair
+/// leave and re-enter the candidate set inside one event: the two flips
+/// cancel, so the window's churn does not count it.
+#[test]
+fn a_pair_that_leaves_and_reenters_within_one_event_is_not_churn() {
+    let schema = Schema::new(vec![em_data::Attribute::new(
+        "name",
+        em_data::AttrType::Text,
+    )]);
+    let ent = |s: &str| Entity::new(vec![Some(s.to_owned())]);
+    for (min_overlap, right, before, after) in [
+        (1, "alpha beta", "alpha", "beta"),
+        (2, "alpha beta gamma delta", "alpha beta", "gamma delta"),
+    ] {
+        let config = BlockerConfig {
+            min_overlap,
+            ..BlockerConfig::default()
+        };
+        let mut state = StreamState::new(schema.clone(), config);
+        for ev in [
+            RecordEvent::Insert {
+                side: Side::Right,
+                id: 1,
+                entity: ent(right),
+            },
+            RecordEvent::Insert {
+                side: Side::Left,
+                id: 2,
+                entity: ent(before),
+            },
+        ] {
+            state.apply(&ev, None).unwrap();
+        }
+        assert_eq!(state.blocker().candidate_count(), 1);
+        assert_eq!(state.blocker().mark_window(), None);
+        state
+            .apply(
+                &RecordEvent::Update {
+                    side: Side::Left,
+                    id: 2,
+                    entity: ent(after),
+                },
+                None,
+            )
+            .unwrap();
+        assert_eq!(state.blocker().candidate_count(), 1);
+        assert_eq!(
+            state.blocker().mark_window(),
+            Some(0),
+            "min_overlap {min_overlap}: the leave and the re-entry must cancel"
+        );
+    }
+}
+
+/// Property: over random interleavings in both regimes — generated
+/// stable and drifting streams, plus small-vocabulary streams with
+/// update storms — the incremental churn at every window close equals
+/// `|S_now Δ S_prev|` from two `candidates()` snapshots, and the
+/// monitor's reports and epochs equal those of [`SetDiffMonitor`].
+#[test]
+fn incremental_churn_equals_snapshot_symmetric_difference() {
+    let _g = guard();
+    let domain = restaurant_domain();
+    let schema = domain.schema();
+    let mut streams = Vec::new();
+    for seed in [3u64, 11, 42] {
+        for drift_after in [usize::MAX, 40] {
+            streams.push(generate_events(
+                domain.as_ref(),
+                &ScenarioConfig {
+                    seed,
+                    initial_pairs: 10,
+                    events: 120,
+                    drift_after,
+                    ..ScenarioConfig::default()
+                },
+            ));
+        }
+        streams.push(vocabulary_stream(seed, schema.len(), 240));
+    }
+    // updates that drop every token of a record and still keep one of
+    // its candidate pairs: that pair left and re-entered within the event
+    let mut reentries = 0usize;
+    for (k, events) in streams.iter().enumerate() {
+        for min_overlap in [1usize, 2] {
+            for window_events in [4usize, 16] {
+                // churn threshold 0 reports every primed window, so each
+                // close shows its churn; 0.35 checks the firing decisions
+                for churn_threshold in [0.0, 0.35] {
+                    let config = DriftConfig {
+                        window_events,
+                        churn_threshold,
+                        score_shift_threshold: 0.3,
+                    };
+                    let mut state = StreamState::new(
+                        schema.clone(),
+                        BlockerConfig {
+                            min_overlap,
+                            ..BlockerConfig::default()
+                        },
+                    );
+                    let mut monitor = DriftMonitor::new(config.clone());
+                    let mut reference = SetDiffMonitor::new(config);
+                    let mut rng = linalg::Rng::new(k as u64);
+                    let mut prev: BTreeSet<(u64, u64)> = BTreeSet::new();
+                    for (step, ev) in events.iter().enumerate() {
+                        let before = state.candidates();
+                        let old_tokens = state
+                            .entity(ev.side(), ev.id())
+                            .map(|e| text::tokenize::words(&e.flatten()));
+                        state.apply(ev, None).unwrap();
+                        if let (RecordEvent::Update { side, id, entity }, Some(old_tokens)) =
+                            (ev, old_tokens)
+                        {
+                            let new_tokens = text::tokenize::words(&entity.flatten());
+                            let mine = |c: &&em_data::CandidateIdPair| match side {
+                                Side::Left => c.left == *id,
+                                Side::Right => c.right == *id,
+                            };
+                            let after = state.candidates();
+                            if old_tokens.iter().all(|t| !new_tokens.contains(t))
+                                && before.iter().filter(mine).any(|c| after.contains(c))
+                            {
+                                reentries += 1;
+                            }
+                        }
+                        // scores turn from confident to mid-scale halfway
+                        let score = if step < events.len() / 2 {
+                            if rng.chance(0.5) {
+                                0.05
+                            } else {
+                                0.95
+                            }
+                        } else {
+                            0.3 + 0.4 * rng.f64()
+                        };
+                        monitor.note_score(score);
+                        reference.scores.push(score);
+                        let now: BTreeSet<(u64, u64)> = state
+                            .candidates()
+                            .iter()
+                            .map(|c| (c.left, c.right))
+                            .collect();
+                        let got = monitor.observe(state.blocker());
+                        let want = reference.observe(&now);
+                        let ctx = format!(
+                            "stream {k} min_overlap {min_overlap} window {window_events} \
+                             threshold {churn_threshold} step {step}"
+                        );
+                        assert_eq!(got, want, "{ctx}");
+                        if (step + 1) % window_events == 0 {
+                            if let Some(report) = &got {
+                                let sym_diff = now.symmetric_difference(&prev).count();
+                                let denom = now.len().max(prev.len()).max(1);
+                                assert_eq!(report.churn, sym_diff as f64 / denom as f64, "{ctx}");
+                            } else {
+                                assert!(churn_threshold > 0.0 || step < window_events, "{ctx}");
+                            }
+                            prev = now;
+                        }
+                    }
+                    assert_eq!(monitor.epochs(), reference.epochs, "stream {k}");
+                }
+            }
+        }
+    }
+    assert!(
+        reentries > 0,
+        "no pair left and re-entered within one event"
+    );
 }
 
 // ----------------------------------------------------- cache invalidation
